@@ -109,11 +109,19 @@ func (t *Table) InitialEnv() []int32 {
 }
 
 // Ctx is an evaluation context: the table, a concrete environment and
-// bindings for quantifier variables.
+// the stack of quantifier bindings in scope, innermost last. A quantifier
+// pushes its binding for the duration of its body and pops it after, so an
+// inner binding shadows an outer one of the same name.
 type Ctx struct {
 	Tbl  *Table
 	Env  []int32
-	Bind map[string]int
+	Bind []Binding
+}
+
+// Binding gives a quantifier-bound name its current value.
+type Binding struct {
+	Name string
+	Val  int
 }
 
 // Expr is an integer expression (booleans are 0/1).
@@ -227,14 +235,12 @@ func (v *Var) String() string {
 type Bound string
 
 func (b Bound) Eval(c *Ctx) (int, error) {
-	if c.Bind == nil {
-		return 0, fmt.Errorf("expr: unbound name %s", string(b))
+	for i := len(c.Bind) - 1; i >= 0; i-- {
+		if c.Bind[i].Name == string(b) {
+			return c.Bind[i].Val, nil
+		}
 	}
-	v, ok := c.Bind[string(b)]
-	if !ok {
-		return 0, fmt.Errorf("expr: unbound name %s", string(b))
-	}
-	return v, nil
+	return 0, fmt.Errorf("expr: unbound name %s", string(b))
 }
 
 func (b Bound) String() string { return string(b) }
@@ -343,21 +349,11 @@ type Quant struct {
 }
 
 func (q *Quant) Eval(c *Ctx) (int, error) {
-	saved, had := 0, false
-	if c.Bind == nil {
-		c.Bind = map[string]int{}
-	} else if v, ok := c.Bind[q.Name]; ok {
-		saved, had = v, true
-	}
-	defer func() {
-		if had {
-			c.Bind[q.Name] = saved
-		} else {
-			delete(c.Bind, q.Name)
-		}
-	}()
+	k := len(c.Bind)
+	c.Bind = append(c.Bind, Binding{Name: q.Name})
+	defer func() { c.Bind = c.Bind[:k] }()
 	for i := q.Lo; i <= q.Hi; i++ {
-		c.Bind[q.Name] = i
+		c.Bind[k].Val = i
 		v, err := q.Body.Eval(c)
 		if err != nil {
 			return 0, err

@@ -264,15 +264,16 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 		var goal *dbm.Federation
 		if sk.layers != nil {
 			// Ghost overlay: the goal is the layer, no formula evaluation
-			// needed. Identical content to evaluating "ghost == 1" per node.
+			// needed. Identical content to evaluating "ghost == 1" per node,
+			// and shared with the zone the same way nodeGoal shares it.
 			if sk.layers[i] == 1 {
-				goal = dbm.FedFromDBM(o.st.Zone.Dim(), o.st.Zone.Clone())
+				goal = o.zoneFed
 			} else {
-				goal = dbm.NewFederation(o.st.Zone.Dim())
+				goal = s.noGoal
 			}
 		} else {
 			var err error
-			if goal, err = s.nodeGoal(o.st); err != nil {
+			if goal, err = s.nodeGoal(o.st, o.zoneFed); err != nil {
 				return nil, err
 			}
 		}

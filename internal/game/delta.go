@@ -812,7 +812,7 @@ func (s *solver) solveOnDelta(dsk *deltaSkeleton, fix *baseFix) (*Result, error)
 				goal = fix.nodes[b].goal
 			} else {
 				var err error
-				if goal, err = s.nodeGoal(o.st); err != nil {
+				if goal, err = s.nodeGoal(o.st, o.zoneFed); err != nil {
 					return nil, err
 				}
 			}

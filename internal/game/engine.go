@@ -80,10 +80,11 @@ func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 	// every goal on its own nodes, so evaluating here would be wasted work —
 	// and the driving formula may not even be well-typed against this system
 	// (a ghost-overlay purpose references a variable the core lacks).
+	zoneFed := dbm.FedFromDBM(st.Zone.Dim(), st.Zone)
 	var goal *dbm.Federation
 	if !s.exploreOnly {
 		var err error
-		if goal, err = s.nodeGoal(st); err != nil {
+		if goal, err = s.nodeGoal(st, zoneFed); err != nil {
 			s.store.created.Add(-1)
 			return nil, false, err
 		}
@@ -91,7 +92,7 @@ func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 	n := &node{
 		id:      -1,
 		st:      st,
-		zoneFed: dbm.FedFromDBM(st.Zone.Dim(), st.Zone),
+		zoneFed: zoneFed,
 		goal:    goal,
 		win:     dbm.NewFederation(st.Zone.Dim()),
 	}
@@ -274,7 +275,10 @@ func (s *solver) runParallelOnTheFly() error {
 		}
 		frontier := s.exploreQ
 		s.exploreQ = nil
-		if err := s.exploreBatch(frontier); err != nil {
+		t0 := time.Now()
+		err := s.exploreBatch(frontier)
+		s.stats.ExploreDuration += time.Since(t0)
+		if err != nil {
 			return err
 		}
 	}

@@ -313,45 +313,108 @@ func updateCondensation(prev *condensation, oldN, n int, deg func(u int) int, su
 		}
 	}
 
-	c.succs = make([][]int32, len(c.comps))
-	c.preds = make([][]int32, len(c.comps))
-	for oc := 0; oc < oldComps; oc++ {
-		nc := newOf[oc]
-		if nc < 0 || recompute[nc] || len(prev.succs[oc]) == 0 {
-			continue
-		}
-		out := make([]int32, len(prev.succs[oc]))
-		for i, d := range prev.succs[oc] {
-			out[i] = newOf[d] // d is a survivor, else nc would be in recompute
-		}
-		c.succs[nc] = out
+	from := make([]int32, len(c.comps)) // kept old list per component, -1 to rescan
+	for id := range from {
+		from[id] = -1
 	}
-	seen := make([]int32, len(c.comps))
+	for oc := 0; oc < oldComps; oc++ {
+		if nc := newOf[oc]; nc >= 0 && !recompute[nc] {
+			from[nc] = int32(oc)
+		}
+	}
+	c.link(deg, succ, prev, from, newOf)
+	return c
+}
+
+// link fills c.succs and c.preds, the distinct cross-component edges,
+// carving every list out of one exactly counted arena. A component with
+// from[cid] >= 0 keeps the successor list of prev's component from[cid],
+// renumbered through newOf (d is a survivor, else cid would have been
+// rescanned); every other component, and all of them when from is nil,
+// dedups its members' node successors with a last-seen marker. preds lists
+// come out in ascending source order.
+func (c *condensation) link(deg func(u int) int, succ func(u, i int) int, prev *condensation, from, newOf []int32) {
+	nc := len(c.comps)
+	kept := func(cid int) ([]int32, bool) {
+		if from == nil || from[cid] < 0 {
+			return nil, false
+		}
+		return prev.succs[from[cid]], true
+	}
+	seen := make([]int32, nc)
 	for i := range seen {
 		seen[i] = -1
 	}
-	for cid := range c.comps {
-		if !recompute[cid] {
-			continue
-		}
+	// scan counts cid's distinct cross successors, writing them to out when
+	// out is non-nil; mark must differ from every earlier scan's mark.
+	scan := func(cid int, mark int32, out []int32) int {
+		k := 0
 		for _, u := range c.comps[cid] {
 			du := deg(int(u))
 			for i := 0; i < du; i++ {
 				d := c.compOf[succ(int(u), i)]
-				if int(d) == cid || seen[d] == int32(cid) {
+				if int(d) == cid || seen[d] == mark {
 					continue
 				}
-				seen[d] = int32(cid)
-				c.succs[cid] = append(c.succs[cid], d)
+				seen[d] = mark
+				if out != nil {
+					out[k] = d
+				}
+				k++
 			}
 		}
+		return k
 	}
-	for cid := range c.succs {
-		for _, d := range c.succs[cid] {
+
+	// off[cid] is where cid's successor list starts; pos[d+1] counts d's
+	// predecessors and, after the prefix sum, pos[d] is where d's list starts.
+	off := make([]int32, nc+1)
+	pos := make([]int32, nc+1)
+	for cid := 0; cid < nc; cid++ {
+		k := 0
+		if old, ok := kept(cid); ok {
+			k = len(old)
+		} else {
+			k = scan(cid, int32(cid), nil)
+		}
+		off[cid+1] = off[cid] + int32(k)
+	}
+	total := off[nc]
+	arena := make([]int32, 2*total)
+	c.succs = make([][]int32, nc)
+	for cid := 0; cid < nc; cid++ {
+		lo, hi := off[cid], off[cid+1]
+		if lo == hi {
+			continue
+		}
+		out := arena[lo:hi:hi]
+		if old, ok := kept(cid); ok {
+			for i, d := range old {
+				out[i] = newOf[d]
+			}
+		} else {
+			scan(cid, int32(nc+cid), out)
+		}
+		c.succs[cid] = out
+		for _, d := range out {
+			pos[d+1]++
+		}
+	}
+	for d := 0; d < nc; d++ {
+		pos[d+1] += pos[d]
+	}
+	c.preds = make([][]int32, nc)
+	preds := arena[total:]
+	for d := 0; d < nc; d++ {
+		if lo, hi := pos[d], pos[d+1]; lo < hi {
+			c.preds[d] = preds[lo:lo:hi]
+		}
+	}
+	for cid, ds := range c.succs {
+		for _, d := range ds {
 			c.preds[d] = append(c.preds[d], int32(cid))
 		}
 	}
-	return c
 }
 
 // condense computes the SCC condensation of the currently explored graph.
@@ -385,30 +448,8 @@ func (s *solver) condense() *condensation {
 		s.stats.CondensationIncrementals++
 	} else {
 		compOf, comps := tarjanSCC(n, deg, succ)
-		c = &condensation{
-			compOf: compOf,
-			comps:  comps,
-			succs:  make([][]int32, len(comps)),
-			preds:  make([][]int32, len(comps)),
-		}
-		// Dedup cross edges per source component with a last-seen marker.
-		seen := make([]int32, len(comps))
-		for i := range seen {
-			seen[i] = -1
-		}
-		for cid := range comps {
-			for _, u := range comps[cid] {
-				for i := range s.nodes[u].succs {
-					d := compOf[s.nodes[u].succs[i].target]
-					if int(d) == cid || seen[d] == int32(cid) {
-						continue
-					}
-					seen[d] = int32(cid)
-					c.succs[cid] = append(c.succs[cid], d)
-					c.preds[d] = append(c.preds[d], int32(cid))
-				}
-			}
-		}
+		c = &condensation{compOf: compOf, comps: comps}
+		c.link(deg, succ, nil, nil, nil)
 	}
 	s.condEdits = s.condEdits[:0]
 	s.lastCond, s.lastCondNodes, s.lastCondTrans = c, n, s.stats.Transitions

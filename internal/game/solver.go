@@ -156,9 +156,10 @@ type Stats struct {
 	// skeleton cache; PropagateDuration the backward fixpoint including
 	// the condensation passes it triggers; CondenseDuration those Tarjan
 	// passes alone (a subset of PropagateDuration under the parallel
-	// engine); OverlayDuration the ghost-overlay graph replay. The serial
-	// on-the-fly engine interleaves exploration and propagation per node
-	// and leaves both unattributed (Duration still covers everything).
+	// engine); OverlayDuration the ghost-overlay graph replay. Only the
+	// serial on-the-fly engine leaves these phases unattributed: it
+	// interleaves exploration and propagation per node (Duration still
+	// covers everything).
 	ExploreDuration   time.Duration
 	CondenseDuration  time.Duration
 	PropagateDuration time.Duration
@@ -260,7 +261,8 @@ type solver struct {
 	lastSampleWork int     // Nodes+Reevals at the last heap sample (throttle)
 	initPoint      []int64 // scratch valuation for initialDecided
 	t0             time.Time
-	safety         bool // solving the safety dual (win federations hold LOSING sets)
+	safety         bool            // solving the safety dual (win federations hold LOSING sets)
+	noGoal         *dbm.Federation // the empty goal shared by every node φ misses
 
 	// Condensation cache: condense() reuses lastCond while the graph shape
 	// (node and transition counts; nodes and edges are only ever added) is
@@ -310,6 +312,7 @@ func newSolverShell(sys *model.System, formula *tctl.Formula, opts Options) *sol
 		workers: opts.Workers,
 		t0:      time.Now(),
 		safety:  formula.Objective == tctl.Safety,
+		noGoal:  dbm.NewFederation(sys.NumClocks()),
 	}
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
@@ -389,16 +392,33 @@ func (s *solver) addNode(st *symbolic.State) (int, error) {
 
 // nodeGoal computes the target federation of the node: φ∩Z for
 // reachability, ¬φ∩Z for the safety dual (what the opponent tries to hit).
-func (s *solver) nodeGoal(st *symbolic.State) (*dbm.Federation, error) {
-	fed, err := s.formula.GoalFed(s.sys, st.Locs, st.Vars, st.Zone)
+// zoneFed is the node's Z. A target covering the whole zone IS zoneFed and
+// an empty one is the solver's shared noGoal, so only a clock-cut target
+// builds a federation of its own; either way the result is read-only for
+// the rest of the solve.
+func (s *solver) nodeGoal(st *symbolic.State, zoneFed *dbm.Federation) (*dbm.Federation, error) {
+	v, fed, err := s.formula.Goal(s.sys, st.Locs, st.Vars, st.Zone)
 	if err != nil {
 		return nil, err
 	}
 	if s.safety {
-		loss := dbm.FedFromDBM(st.Zone.Dim(), st.Zone.Clone())
-		loss.SubtractInPlace(fed)
-		fed.Release() // GoalFed output is freshly built, never shared
-		return loss, nil
+		switch v {
+		case tctl.None:
+			v = tctl.All
+		case tctl.All:
+			v = tctl.None
+		default:
+			loss := dbm.FedFromDBM(st.Zone.Dim(), st.Zone.Clone())
+			loss.SubtractInPlace(fed)
+			fed.Release() // Goal's federation is freshly built, never shared
+			return loss, nil
+		}
+	}
+	switch v {
+	case tctl.All:
+		return zoneFed, nil
+	case tctl.None:
+		return s.noGoal, nil
 	}
 	return fed, nil
 }

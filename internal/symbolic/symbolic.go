@@ -207,15 +207,13 @@ func (ex *Explorer) Successors(s *State) ([]Succ, error) {
 // buffer instead of allocating per state.
 func (ex *Explorer) AppendSuccessors(dst []Succ, s *State) ([]Succ, error) {
 	out := dst
+	var ctx fireCtx // one context pair serves every candidate
 	err := ex.Candidates(s, func(t Transition) error {
-		succ, err := ex.fire(s, t)
-		if err != nil {
-			return err
+		succ, ok, err := ex.fire(s, t, &ctx)
+		if ok {
+			out = append(out, succ)
 		}
-		if succ != nil {
-			out = append(out, *succ)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -298,22 +296,32 @@ func (ex *Explorer) Candidates(s *State, fn func(t Transition) error) error {
 // disabled. On success the returned transition owns a fresh Edges slice,
 // so the caller's candidate scratch is safe to reuse.
 func (ex *Explorer) Fire(s *State, t Transition) (*Succ, error) {
-	return ex.fire(s, t)
+	succ, ok, err := ex.fire(s, t, &fireCtx{})
+	if !ok {
+		return nil, err
+	}
+	return &succ, nil
 }
 
-// fire attempts to take the transition from s; nil result means disabled.
-func (ex *Explorer) fire(s *State, t Transition) (*Succ, error) {
+// fireCtx holds the evaluation contexts of fire: guards read the source
+// environment, updates write the successor's. Reusing one pair across the
+// candidates of a state keeps disabled candidates allocation-free.
+type fireCtx struct{ guard, update expr.Ctx }
+
+// fire attempts to take the transition from s; ok is false when it is
+// disabled (or on error).
+func (ex *Explorer) fire(s *State, t Transition, ctx *fireCtx) (Succ, bool, error) {
 	sys := ex.Sys
 
 	// Data guards (conjunction over participating edges).
-	ctx := &expr.Ctx{Tbl: sys.Vars, Env: s.Vars}
+	ctx.guard = expr.Ctx{Tbl: sys.Vars, Env: s.Vars}
 	for _, e := range t.Edges {
-		ok, err := expr.Truth(ctx, e.Guard.Data)
+		ok, err := expr.Truth(&ctx.guard, e.Guard.Data)
 		if err != nil {
-			return nil, fmt.Errorf("symbolic: guard of %s: %w", sys.EdgeLabel(e), err)
+			return Succ{}, false, fmt.Errorf("symbolic: guard of %s: %w", sys.EdgeLabel(e), err)
 		}
 		if !ok {
-			return nil, nil
+			return Succ{}, false, nil
 		}
 	}
 
@@ -324,7 +332,7 @@ func (ex *Explorer) fire(s *State, t Transition) (*Succ, error) {
 		for _, c := range e.Guard.Clocks {
 			if !z.ConstrainInPlace(c.I, c.J, c.Bound) {
 				z.Release()
-				return nil, nil
+				return Succ{}, false, nil
 			}
 		}
 	}
@@ -336,11 +344,11 @@ func (ex *Explorer) fire(s *State, t Transition) (*Succ, error) {
 		locs[e.Proc] = e.Dst
 	}
 	vars := append([]int32(nil), s.Vars...)
-	vctx := &expr.Ctx{Tbl: sys.Vars, Env: vars}
+	ctx.update = expr.Ctx{Tbl: sys.Vars, Env: vars}
 	for _, e := range t.Edges {
-		if err := expr.ApplyAll(vctx, e.Assigns); err != nil {
+		if err := expr.ApplyAll(&ctx.update, e.Assigns); err != nil {
 			z.Release()
-			return nil, fmt.Errorf("symbolic: update of %s: %w", sys.EdgeLabel(e), err)
+			return Succ{}, false, fmt.Errorf("symbolic: update of %s: %w", sys.EdgeLabel(e), err)
 		}
 	}
 
@@ -354,13 +362,13 @@ func (ex *Explorer) fire(s *State, t Transition) (*Succ, error) {
 	// Target invariant, then delay closure.
 	if !ex.applyInvariantInPlace(z, locs) {
 		z.Release()
-		return nil, nil
+		return Succ{}, false, nil
 	}
 	if !ex.Sys.IsUrgent(locs) {
 		z.UpInPlace()
 		if !ex.applyInvariantInPlace(z, locs) {
 			z.Release()
-			return nil, nil
+			return Succ{}, false, nil
 		}
 	}
 	if ex.Max != nil {
@@ -369,7 +377,7 @@ func (ex *Explorer) fire(s *State, t Transition) (*Succ, error) {
 	// The transition is enabled and will be retained: unshare the caller's
 	// scratch edge list.
 	t.Edges = append([]*model.Edge(nil), t.Edges...)
-	return &Succ{Trans: t, State: &State{Locs: locs, Vars: vars, Zone: z}}, nil
+	return Succ{Trans: t, State: &State{Locs: locs, Vars: vars, Zone: z}}, true, nil
 }
 
 // PredThroughEdge computes the discrete predecessor through transition t

@@ -7,14 +7,16 @@
 //	control: A<> forall (i : BufferId) (inUse[i] == 1) and IUT.idle
 //
 // Key types: Formula (Objective + Prop, rendered canonically by String —
-// the spelling strategy caches key on) with GoalFed restricting a zone to
-// the satisfying valuations and ClockConstraints feeding extrapolation;
+// the spelling strategy caches key on) with Goal deciding the predicate
+// over a zone as a three-valued Verdict, GoalFed restricting a zone to the
+// satisfying valuations and ClockConstraints feeding extrapolation;
 // Parse/MustParse build formulas against a ParseEnv of model symbols.
 // Formulas are immutable after parsing and safe for concurrent use.
 package tctl
 
 import (
 	"fmt"
+	"sync"
 
 	"tigatest/internal/dbm"
 	"tigatest/internal/expr"
@@ -52,21 +54,62 @@ func (f *Formula) String() string {
 	return fmt.Sprintf("control: %s %s", f.Objective, f.Prop)
 }
 
-// Prop is a state predicate. Evaluation is split in two: the discrete part
-// decides per (locations, variables) and the symbolic part restricts a zone
-// to the satisfying valuations (clock atoms cut zones; boolean structure
-// maps to federation operations).
-type Prop interface {
-	fmt.Stringer
-	// fed returns the sub-federation of zone z satisfying the predicate at
-	// the given discrete state. ctx carries quantifier bindings.
-	fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error)
+// Verdict is the three-valued outcome of a predicate over one symbolic
+// state: it holds nowhere in the zone, everywhere in it, or on the
+// sub-federation its clock atoms cut out. Location and data atoms are
+// decided by the discrete state alone, so a clock-free predicate is always
+// None or All and never touches a DBM.
+type Verdict uint8
+
+const (
+	None  Verdict = iota // no valuation of the zone satisfies the predicate
+	All                  // every valuation of the zone satisfies it
+	Mixed                // exactly the valuations of the accompanying federation do
+)
+
+func (v Verdict) String() string {
+	switch v {
+	case None:
+		return "none"
+	case All:
+		return "all"
+	}
+	return "mixed"
 }
 
+// Prop is a state predicate over a discrete state and a zone.
+type Prop interface {
+	fmt.Stringer
+	// eval decides the predicate at the discrete state for the valuations
+	// of zone z. The federation is non-nil exactly for Mixed, non-empty,
+	// freshly built and owned by the caller.
+	eval(ev *evalCtx, z *dbm.DBM) (Verdict, *dbm.Federation, error)
+}
+
+// evalCtx is one evaluation's state. Contexts are pooled, so the
+// quantifier binding stack keeps its backing array across evaluations.
 type evalCtx struct {
-	sys  *model.System
 	locs []int
-	ectx *expr.Ctx
+	ectx expr.Ctx
+}
+
+var evalPool = sync.Pool{New: func() any { return new(evalCtx) }}
+
+// mixed wraps a freshly built federation as a verdict, folding the empty
+// set into None.
+func mixed(f *dbm.Federation) (Verdict, *dbm.Federation, error) {
+	if f.IsEmpty() {
+		f.Release()
+		return None, nil, nil
+	}
+	return Mixed, f, nil
+}
+
+func truth(ok bool) Verdict {
+	if ok {
+		return All
+	}
+	return None
 }
 
 // PLoc asserts that a process is in a location.
@@ -77,12 +120,8 @@ type PLoc struct {
 
 func (p *PLoc) String() string { return p.name }
 
-func (p *PLoc) fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error) {
-	f := dbm.NewFederation(z.Dim())
-	if ev.locs[p.Proc] == p.Loc {
-		f.Add(z.Clone())
-	}
-	return f, nil
+func (p *PLoc) eval(ev *evalCtx, _ *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	return truth(ev.locs[p.Proc] == p.Loc), nil, nil
 }
 
 // PData wraps a boolean data expression (which may reference quantifier
@@ -91,16 +130,9 @@ type PData struct{ E expr.Expr }
 
 func (p *PData) String() string { return p.E.String() }
 
-func (p *PData) fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error) {
-	f := dbm.NewFederation(z.Dim())
-	ok, err := expr.Truth(ev.ectx, p.E)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		f.Add(z.Clone())
-	}
-	return f, nil
+func (p *PData) eval(ev *evalCtx, _ *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	ok, err := expr.Truth(&ev.ectx, p.E)
+	return truth(ok), nil, err
 }
 
 // PClock is a clock constraint atom.
@@ -110,8 +142,18 @@ type PClock struct {
 
 func (p *PClock) String() string { return fmt.Sprintf("clock[%d,%d]%v", p.C.I, p.C.J, p.C.Bound) }
 
-func (p *PClock) fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error) {
-	return dbm.FedFromDBM(z.Dim(), z.Constrain(p.C.I, p.C.J, p.C.Bound)), nil
+// eval reads the verdict off the canonical zone before building anything:
+// the atom holds everywhere when its bound is no tighter than the zone's,
+// and nowhere when it contradicts the opposite bound.
+func (p *PClock) eval(_ *evalCtx, z *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	c := p.C
+	switch {
+	case c.Bound == dbm.Infinity || c.Bound >= z.At(c.I, c.J):
+		return All, nil, nil
+	case dbm.Add(z.At(c.J, c.I), c.Bound) < dbm.LEZero:
+		return None, nil, nil
+	}
+	return mixed(dbm.FedFromDBM(z.Dim(), z.Constrain(c.I, c.J, c.Bound)))
 }
 
 // PAnd is conjunction.
@@ -119,24 +161,25 @@ type PAnd struct{ L, R Prop }
 
 func (p *PAnd) String() string { return fmt.Sprintf("(%s and %s)", p.L, p.R) }
 
-func (p *PAnd) fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error) {
-	l, err := p.L.fed(ev, z)
-	if err != nil {
-		return nil, err
+func (p *PAnd) eval(ev *evalCtx, z *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	lv, lf, err := p.L.eval(ev, z)
+	if err != nil || lv == None {
+		return None, nil, err
 	}
-	if l.IsEmpty() {
-		return l, nil
+	rv, rf, err := p.R.eval(ev, z)
+	switch {
+	case err != nil || rv == None:
+		lf.Release()
+		return None, nil, err
+	case lv == All:
+		return rv, rf, nil
+	case rv == All:
+		return lv, lf, nil
 	}
-	r, err := p.R.fed(ev, z)
-	if err != nil {
-		return nil, err
-	}
-	// Every federation in this evaluator is freshly built from clones of z,
-	// so the operands can be recycled once combined.
-	out := l.Intersect(r)
-	l.Release()
-	r.Release()
-	return out, nil
+	out := lf.Intersect(rf)
+	lf.Release()
+	rf.Release()
+	return mixed(out)
 }
 
 // POr is disjunction.
@@ -144,18 +187,30 @@ type POr struct{ L, R Prop }
 
 func (p *POr) String() string { return fmt.Sprintf("(%s or %s)", p.L, p.R) }
 
-func (p *POr) fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error) {
-	l, err := p.L.fed(ev, z)
+func (p *POr) eval(ev *evalCtx, z *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	lv, lf, err := p.L.eval(ev, z)
 	if err != nil {
-		return nil, err
+		return None, nil, err
 	}
-	r, err := p.R.fed(ev, z)
-	if err != nil {
-		return nil, err
+	if lv == All {
+		return All, nil, nil
 	}
-	l.Union(r) // r's zones transfer into l
-	r.Recycle()
-	return l, nil
+	rv, rf, err := p.R.eval(ev, z)
+	switch {
+	case err != nil:
+		lf.Release()
+		return None, nil, err
+	case rv == All:
+		lf.Release()
+		return All, nil, nil
+	case lv == None:
+		return rv, rf, nil
+	case rv == None:
+		return lv, lf, nil
+	}
+	lf.Union(rf) // rf's zones transfer into lf
+	rf.Recycle()
+	return Mixed, lf, nil
 }
 
 // PNot is negation (complement within the zone).
@@ -163,15 +218,20 @@ type PNot struct{ E Prop }
 
 func (p *PNot) String() string { return fmt.Sprintf("not %s", p.E) }
 
-func (p *PNot) fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error) {
-	sub, err := p.E.fed(ev, z)
-	if err != nil {
-		return nil, err
+func (p *PNot) eval(ev *evalCtx, z *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	v, f, err := p.E.eval(ev, z)
+	switch {
+	case err != nil:
+		return None, nil, err
+	case v == None:
+		return All, nil, nil
+	case v == All:
+		return None, nil, nil
 	}
 	out := dbm.FedFromDBM(z.Dim(), z.Clone())
-	out.SubtractInPlace(sub)
-	sub.Release()
-	return out, nil
+	out.SubtractInPlace(f)
+	f.Release()
+	return mixed(out)
 }
 
 // PQuant is a bounded quantifier over an integer range; the body may mix
@@ -191,51 +251,70 @@ func (p *PQuant) String() string {
 	return fmt.Sprintf("%s (%s:%d..%d) %s", kw, p.Name, p.Lo, p.Hi, p.Body)
 }
 
-func (p *PQuant) fed(ev *evalCtx, z *dbm.DBM) (*dbm.Federation, error) {
-	if ev.ectx.Bind == nil {
-		ev.ectx.Bind = map[string]int{}
-	}
-	saved, had := ev.ectx.Bind[p.Name]
-	defer func() {
-		if had {
-			ev.ectx.Bind[p.Name] = saved
-		} else {
-			delete(ev.ectx.Bind, p.Name)
-		}
-	}()
-	var acc *dbm.Federation
+// eval folds the body's verdicts over the range: forall as a conjunction
+// starting from All, exists as a disjunction starting from None, each
+// stopping as soon as the absorbing verdict (None, resp. All) appears.
+func (p *PQuant) eval(ev *evalCtx, z *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	ctx := &ev.ectx
+	k := len(ctx.Bind)
+	ctx.Bind = append(ctx.Bind, expr.Binding{Name: p.Name})
+	defer func() { ctx.Bind = ctx.Bind[:k] }()
+	absorb, acc := All, None // exists
 	if p.ForAll {
-		acc = dbm.FedFromDBM(z.Dim(), z.Clone())
-	} else {
-		acc = dbm.NewFederation(z.Dim())
+		absorb, acc = None, All
 	}
-	for i := p.Lo; i <= p.Hi; i++ {
-		ev.ectx.Bind[p.Name] = i
-		sub, err := p.Body.fed(ev, z)
-		if err != nil {
-			return nil, err
-		}
-		if p.ForAll {
-			next := acc.Intersect(sub)
-			acc.Release()
-			sub.Release()
-			acc = next
-			if acc.IsEmpty() {
-				break
-			}
-		} else {
-			acc.Union(sub) // sub's zones transfer into acc
-			sub.Recycle()
+	var accFed *dbm.Federation
+	for i := p.Lo; i <= p.Hi && acc != absorb; i++ {
+		ctx.Bind[k].Val = i
+		v, f, err := p.Body.eval(ev, z)
+		switch {
+		case err != nil:
+			accFed.Release()
+			return None, nil, err
+		case v == absorb:
+			accFed.Release()
+			acc, accFed = absorb, nil
+		case v == Mixed && acc != Mixed:
+			acc, accFed = Mixed, f
+		case v == Mixed && p.ForAll:
+			next := accFed.Intersect(f)
+			accFed.Release()
+			f.Release()
+			acc, accFed, _ = mixed(next) // an empty meet is None, the absorbing verdict
+		case v == Mixed:
+			accFed.Union(f) // f's zones transfer into accFed
+			f.Recycle()
 		}
 	}
-	return acc, nil
+	return acc, accFed, nil
+}
+
+// Goal decides the formula's predicate at the discrete state (locs, vars)
+// for the valuations of zone z. The federation is non-nil exactly for a
+// Mixed verdict and is freshly owned by the caller; None and All allocate
+// no federation at all.
+func (f *Formula) Goal(sys *model.System, locs []int, vars []int32, z *dbm.DBM) (Verdict, *dbm.Federation, error) {
+	ev := evalPool.Get().(*evalCtx)
+	ev.locs, ev.ectx = locs, expr.Ctx{Tbl: sys.Vars, Env: vars, Bind: ev.ectx.Bind[:0]}
+	v, fed, err := f.Prop.eval(ev, z)
+	ev.locs, ev.ectx = nil, expr.Ctx{Bind: ev.ectx.Bind[:0]} // pin no caller state in the pool
+	evalPool.Put(ev)
+	return v, fed, err
 }
 
 // GoalFed computes the satisfying sub-federation of zone z at the discrete
-// state (locs, vars).
+// state (locs, vars). The result is freshly owned by the caller.
 func (f *Formula) GoalFed(sys *model.System, locs []int, vars []int32, z *dbm.DBM) (*dbm.Federation, error) {
-	ev := &evalCtx{sys: sys, locs: locs, ectx: &expr.Ctx{Tbl: sys.Vars, Env: vars}}
-	return f.Prop.fed(ev, z)
+	v, fed, err := f.Goal(sys, locs, vars, z)
+	switch {
+	case err != nil:
+		return nil, err
+	case v == None:
+		return dbm.NewFederation(z.Dim()), nil
+	case v == All:
+		return dbm.FedFromDBM(z.Dim(), z.Clone()), nil
+	}
+	return fed, nil
 }
 
 // HoldsAtPoint evaluates the predicate at one concrete scaled valuation.
