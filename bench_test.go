@@ -164,10 +164,10 @@ func BenchmarkSolverAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkSolverParallel tracks the sharded parallel engine on the
-// LEP TP2 n=4 cell: wall-clock scaling across worker counts (visible on
-// multi-core runners) and the allocation reduction of the batched engine
-// versus the workers=1 serial schedule.
+// BenchmarkSolverParallel tracks the sharded engine on the LEP TP2 n=4
+// cell: wall-clock scaling across worker counts (visible on multi-core
+// runners), from a pool of one worker up. Every count runs the same
+// on-the-fly schedule and explores the same states.
 func BenchmarkSolverParallel(b *testing.B) {
 	sys := models.LEP(models.LEPOptions{Nodes: 4})
 	f := tctl.MustParse(models.LEPEnv(sys, 4), models.LEPTP2)
@@ -188,15 +188,13 @@ func BenchmarkSolverParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagation measures the SCC-condensed parallel propagation
-// engine (DESIGN.md E6) on the paper's propagation-bound Table 1 cells:
-// LEP TP2/TP3 at n=4..6, full synthesis pipeline (on-the-fly, early
-// termination), serial baseline (workers=1) versus the parallel engine at
-// workers=4. Cells that exhaust the per-cell budget skip — the analogue of
-// Table 1's "/" entries; the n=6 serial cells are expected to skip, since
-// the SCC engine is what brought that row inside the budget. CI runs the
-// TP2 n=4..5 cells as a timed serial-vs-parallel comparison and archives
-// the result as BENCH_propagation.json (see cmd/benchjson).
+// BenchmarkPropagation measures the SCC-condensed propagation engine
+// (DESIGN.md E6) on the paper's propagation-bound Table 1 cells: LEP
+// TP2/TP3 at n=4..6, full synthesis pipeline (on-the-fly, early
+// termination), one engine at workers=1 versus workers=4. Cells that
+// exhaust the per-cell budget skip — the analogue of Table 1's "/" entries.
+// CI runs the TP2 n=4..5 cells as a timed 4-vs-1-worker comparison and
+// archives the result as BENCH_propagation.json (see cmd/benchjson).
 func BenchmarkPropagation(b *testing.B) {
 	purposes := []struct {
 		name, src string

@@ -16,15 +16,12 @@
 // The canonical JSON report (-json) excludes wall-clock measurements, so
 // two runs with the same flags and -seed produce byte-identical files;
 // -timing adds the volatile timing section (wall-clock plus the planner's
-// shared-core skeleton counters). Strategy synthesis defaults to
-// deterministic propagation; raising -prop-workers above 1 trades
-// byte-reproducibility of inconclusive-reason texts for solve speed. Edge
-// goals are planned as ghost overlays on one shared explored core
-// (-shared-core, on by default); -shared-core=false re-explores a clone
-// per edge, producing the identical report more slowly. Execution consults
-// compiled strategy decision tables (-compile, on by default);
-// -compile=false falls back to interpreted consultation, again with a
-// byte-identical report (the E8 ablation).
+// shared-core skeleton counters). Edge goals are planned as ghost
+// overlays on one shared explored core (-shared-core, on by default);
+// -shared-core=false re-explores a clone per edge, producing the identical
+// report more slowly. Execution consults compiled strategy decision tables
+// (-compile, on by default); -compile=false falls back to interpreted
+// consultation, again with a byte-identical report (the E8 ablation).
 package main
 
 import (
@@ -61,7 +58,6 @@ func main() {
 		timing      = flag.Bool("timing", false, "include volatile wall-clock timings in the JSON report")
 		connect     = flag.String("connect", "", "also test a remote IUT served at this address (adapter protocol)")
 		solvWorkers = flag.Int("solver-workers", 1, "strategy-synthesis exploration workers (0 = all cores)")
-		propWorkers = flag.Int("prop-workers", 1, "propagation workers; > 1 is faster but makes reason texts schedule-dependent")
 		sharedCore  = flag.Bool("shared-core", true, "solve edge goals as ghost overlays on one shared explored core (false: re-explore a clone per edge; reports are identical either way)")
 		compile     = flag.Bool("compile", true, "execute through compiled strategy decision tables (false: interpreted consultation; reports are identical either way)")
 		incremental = flag.Bool("incremental", true, "re-solve suite purposes on mutants incrementally over the shared core's dirty cone (false: re-explore each mutant cold; reports are identical either way)")
@@ -103,7 +99,7 @@ func main() {
 		Workers:            *workers,
 		Repeats:            *repeats,
 		Seed:               *seed,
-		Solver:             game.Options{Workers: *solvWorkers, PropagationWorkers: *propWorkers, Cancel: cancel},
+		Solver:             game.Options{Workers: *solvWorkers, Cancel: cancel},
 		RemoteAddr:         *connect,
 		DisableSharedCore:  !*sharedCore,
 		DisableCompile:     !*compile,

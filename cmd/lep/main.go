@@ -41,8 +41,8 @@ func main() {
 		tp          = flag.String("tp", "TP1", "single-cell mode: TP1|TP2|TP3")
 		budget      = flag.Duration("budget", 120*time.Second, "per-cell time budget")
 		memMB       = flag.Uint64("mem", 2048, "per-cell memory budget (MiB)")
-		workers     = flag.Int("workers", 0, "parallel exploration workers (0 = all cores, 1 = serial)")
-		propWorkers = flag.Int("prop-workers", 0, "parallel propagation workers (0 = same as -workers)")
+		workers     = flag.Int("workers", 0, "exploration workers (0 = all cores)")
+		propWorkers = flag.Int("prop-workers", 0, "propagation workers (0 = same as -workers)")
 	)
 	flag.Parse()
 

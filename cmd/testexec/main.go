@@ -47,8 +47,8 @@ func main() {
 		perOp       = flag.Int("perop", 0, "mutants per operator in the campaign (0 = all)")
 		serve       = flag.String("serve", "", "serve a conformant IUT on this address instead of testing")
 		connect     = flag.String("connect", "", "test an IUT served at this address")
-		workers     = flag.Int("workers", 0, "parallel synthesis workers (0 = all cores, 1 = serial)")
-		propWorkers = flag.Int("prop-workers", 0, "parallel propagation workers (0 = same as -workers)")
+		workers     = flag.Int("workers", 0, "synthesis workers (0 = all cores)")
+		propWorkers = flag.Int("prop-workers", 0, "propagation workers (0 = same as -workers)")
 	)
 	flag.Parse()
 

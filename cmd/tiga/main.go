@@ -40,8 +40,8 @@ func main() {
 		jsonOut     = flag.String("json", "", "write the strategy as JSON to this file")
 		budget      = flag.Duration("budget", 0, "time budget (0 = none)")
 		memMB       = flag.Uint64("mem", 0, "memory budget in MiB (0 = none)")
-		workers     = flag.Int("workers", 0, "parallel exploration workers (0 = all cores, 1 = serial)")
-		propWorkers = flag.Int("prop-workers", 0, "parallel propagation workers (0 = same as -workers)")
+		workers     = flag.Int("workers", 0, "exploration workers (0 = all cores)")
+		propWorkers = flag.Int("prop-workers", 0, "propagation workers (0 = same as -workers)")
 		quiet       = flag.Bool("quiet", false, "suppress the strategy printout")
 	)
 	flag.Parse()

@@ -64,7 +64,6 @@ func main() {
 		lepN        = flag.Int("lep-n", 0, "LEP instance size; > 0 also loads model \"lep\"")
 		maxSessions = flag.Int("max-sessions", 64, "concurrent session bound; extra connections get an explicit busy response")
 		solvWorkers = flag.Int("solver-workers", 0, "strategy-synthesis exploration workers (0 = all cores)")
-		propWorkers = flag.Int("prop-workers", 1, "propagation workers; > 1 trades byte-identical responses for solve speed")
 		reqTimeout  = flag.Duration("request-timeout", 0, "default per-request deadline (0 = none); requests override with deadline_ms")
 		quiet       = flag.Bool("quiet", false, "suppress operational logging")
 
@@ -107,7 +106,7 @@ func main() {
 
 	svc := service.New(service.Options{
 		MaxSessions:    *maxSessions,
-		Solver:         game.Options{Workers: *solvWorkers, PropagationWorkers: *propWorkers},
+		Solver:         game.Options{Workers: *solvWorkers},
 		RequestTimeout: *reqTimeout,
 		Logf:           logf,
 		DisableObs:     !*obsOn,

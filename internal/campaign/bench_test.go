@@ -50,7 +50,7 @@ func BenchmarkCampaignPlan(b *testing.B) {
 				goals := EnumerateGoals(sys, plant, CoverEdges)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					shared, err := game.NewBatch(sys, game.Options{Workers: 1, PropagationWorkers: 1})
+					shared, err := game.NewBatch(sys, game.Options{Workers: 1})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -62,7 +62,7 @@ func BenchmarkCampaignPlan(b *testing.B) {
 						}
 						var solve goalSolver
 						if disable {
-							ib, err := game.NewBatch(isys, game.Options{Workers: 1, PropagationWorkers: 1})
+							ib, err := game.NewBatch(isys, game.Options{Workers: 1})
 							if err != nil {
 								b.Fatal(err)
 							}

@@ -65,9 +65,7 @@ type Options struct {
 	// Seed makes the campaign reproducible: it drives mutant sampling and
 	// the per-repeat seeds.
 	Seed int64
-	// Solver configures strategy synthesis. For byte-reproducible reports
-	// keep PropagationWorkers at 1 (propagation stamps are
-	// schedule-dependent above that; see DESIGN.md).
+	// Solver configures strategy synthesis.
 	Solver game.Options
 	// Exec configures test execution (PlantProcs defaults to Plant).
 	Exec texec.Options
@@ -154,13 +152,6 @@ func (o *Options) withDefaults(sys *model.System) Options {
 	}
 	if opts.DisableIncremental {
 		opts.Solver.DisableIncremental = true
-	}
-	if opts.Solver.PropagationWorkers == 0 {
-		// The default must keep reports byte-reproducible: propagation
-		// stamps above one worker are schedule-dependent and can reorder
-		// strategy decisions (and thus reason texts). Callers wanting the
-		// speed opt in explicitly.
-		opts.Solver.PropagationWorkers = 1
 	}
 	if len(opts.Exec.PlantProcs) == 0 {
 		opts.Exec.PlantProcs = opts.Plant

@@ -207,7 +207,7 @@ func TestSharedCoreSolveMatchesPerClone(t *testing.T) {
 			plant = texec.GuessPlantProcs(sys)
 		}
 		for _, workers := range []int{1, 4} {
-			shared, err := game.NewBatch(sys, game.Options{Workers: workers, PropagationWorkers: 1})
+			shared, err := game.NewBatch(sys, game.Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +216,7 @@ func TestSharedCoreSolveMatchesPerClone(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				clone, err := game.NewBatch(isys, game.Options{Workers: workers, PropagationWorkers: 1})
+				clone, err := game.NewBatch(isys, game.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

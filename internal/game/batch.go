@@ -26,17 +26,17 @@ import (
 )
 
 // skeleton is one fully explored zone graph, reusable across purposes that
-// share its extrapolation constants. All fields except cond are immutable
-// after build; cond is filled by the first per-purpose fixpoint that
-// condenses the graph and reused by every later one (the graph shape is
-// frozen, so the condensation is too). A Batch is not safe for concurrent
-// use, so the late write needs no lock.
+// share its extrapolation constants. The graph is immutable after build.
 type skeleton struct {
 	ex          *symbolic.Explorer
 	nodes       []*node // win/goal/deltas of these nodes are never read again
 	transitions int
 	buildDur    time.Duration // wall-clock of the exploration (or overlay replay)
-	cond        *condensation
+	// rounds records the order the graph was numbered in: frontier rounds
+	// (a worker pool) or depth-first (one worker). Replays over the graph
+	// (overlay.go, delta.go) drain in the same order, so their numbering
+	// matches what exploring the replayed system would have assigned.
+	rounds bool
 	// layers is non-nil for ghost overlays: the ghost value (0 or 1) per
 	// node. The overlay purpose is by construction "the watched edge has
 	// fired", so per-purpose goals follow from the layer directly (the
@@ -66,26 +66,50 @@ type Batch struct {
 	opts   Options
 	graphs map[string]*skeleton
 
-	// Bounded overlay cache (FIFO eviction, overlayCacheCap entries): the
-	// strict and the cooperative game of one edge goal run back to back, so
-	// a single slot would suffice for one planner — but concurrent campaigns
-	// serialized onto one batch (the service) interleave per-goal solves, so
-	// a few slots keep each in-progress goal's overlay alive between its
-	// strict and cooperative solve. Bounded because overlays are retained
-	// graphs (~2x core); re-solving a long-finished goal is the service
-	// strategy cache's job, not this one's.
-	overlays map[overlayKey]*skeleton
-	ovOrder  []overlayKey
+	// Bounded overlay cache (overlayCacheCap entries): the strict and the
+	// cooperative game of one edge goal run back to back, so a single slot
+	// would suffice for one planner — but concurrent campaigns serialized
+	// onto one batch (the service) interleave per-goal solves, so a few
+	// slots keep each in-progress goal's overlay alive between its strict
+	// and cooperative solve. Bounded because overlays are retained graphs
+	// (~2x core); re-solving a long-finished goal is the service strategy
+	// cache's job, not this one's.
+	overlays fifoCache[overlayKey, *skeleton]
 
 	// Incremental re-solve caches (delta.go). deltas holds mutant skeletons —
 	// replayed over the core, or coldly explored under the E10 ablation —
 	// keyed by merged extrapolation signature and edit-set hash; fixes holds
 	// fully converged base fixpoints that seed the dirty-cone re-solve.
-	// Both are FIFO-bounded like the overlay cache.
-	deltas   map[deltaKey]*deltaSkeleton
-	dOrder   []deltaKey
-	fixes    map[fixKey]*baseFix
-	fixOrder []fixKey
+	// Both are bounded like the overlay cache.
+	deltas fifoCache[deltaKey, *deltaSkeleton]
+	fixes  fifoCache[fixKey, *baseFix]
+}
+
+// fifoCache is a map bounded to max entries that evicts in insertion order:
+// once full, each new key displaces the oldest one. Lookups do not refresh
+// an entry. Not safe for concurrent use (a Batch is single-caller).
+type fifoCache[K comparable, V any] struct {
+	max   int
+	m     map[K]V
+	order []K
+}
+
+func (c *fifoCache[K, V]) get(k K) (V, bool) {
+	v, ok := c.m[k]
+	return v, ok
+}
+
+// put inserts a key that get just missed.
+func (c *fifoCache[K, V]) put(k K, v V) {
+	if c.m == nil {
+		c.m = make(map[K]V, c.max)
+	}
+	if len(c.order) >= c.max {
+		delete(c.m, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.m[k] = v
+	c.order = append(c.order, k)
 }
 
 // overlayCacheCap bounds the retained overlay skeletons per batch: enough
@@ -95,14 +119,22 @@ const overlayCacheCap = 8
 
 // NewBatch prepares batch solving of sys under the given options. The
 // Algorithm field is ignored: batch solving is inherently the Backward
-// shape (explore everything once, then per-purpose fixpoints); Workers
-// parallelizes the shared exploration and PropagationWorkers each
-// per-purpose fixpoint.
+// shape (explore everything once, then per-purpose fixpoints). Workers
+// sizes the shared exploration's pool and fixes its order; every
+// per-purpose fixpoint runs the seeded worklist, so PropagationWorkers is
+// ignored too.
 func NewBatch(sys *model.System, opts Options) (*Batch, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
-	return &Batch{sys: sys, opts: opts, graphs: map[string]*skeleton{}}, nil
+	return &Batch{
+		sys:      sys,
+		opts:     opts,
+		graphs:   map[string]*skeleton{},
+		overlays: fifoCache[overlayKey, *skeleton]{max: overlayCacheCap},
+		deltas:   fifoCache[deltaKey, *deltaSkeleton]{max: deltaCacheCap},
+		fixes:    fifoCache[fixKey, *baseFix]{max: fixpointCacheCap},
+	}, nil
 }
 
 // SetCancel installs the cancellation hook consulted by subsequent solves
@@ -132,12 +164,13 @@ func ExtrapolationSignature(sys *model.System, formula *tctl.Formula) string {
 	return fmt.Sprintf("%x", maxSignature(sys.MaxConstants(formula.ClockConstraints())))
 }
 
-// newSolver builds a solver shell for one purpose against the batch system.
-func (b *Batch) newSolver(formula *tctl.Formula, coop bool) *solver {
+// newSolver builds a solver shell for one purpose against sys — the batch
+// system, a mutant of it, or a ghost-instrumented clone.
+func (b *Batch) newSolver(sys *model.System, formula *tctl.Formula, coop bool) *solver {
 	opts := b.opts
 	opts.Algorithm = Backward
 	opts.TreatAllControllable = coop
-	s := newSolverShell(b.sys, formula, opts)
+	s := newSolverShell(sys, formula, opts)
 	s.lightStats = true
 	return s
 }
@@ -150,7 +183,7 @@ func (b *Batch) Solve(formula *tctl.Formula, coop bool) (*Result, error) {
 	if formula.Objective != tctl.Reach {
 		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
 	}
-	s := b.newSolver(formula, coop)
+	s := b.newSolver(b.sys, formula, coop)
 	sk, _, hit, err := b.coreSkeleton(formula)
 	if err != nil {
 		return nil, err
@@ -186,29 +219,28 @@ func (b *Batch) coreSkeletonMax(formula *tctl.Formula, max []int) (*skeleton, st
 	if sk, ok := b.graphs[sig]; ok {
 		return sk, sig, true, nil
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	es := newSolverShell(b.sys, formula, opts)
-	es.exploreOnly = true
-	es.lightStats = true
-	if !opts.DisableExtrapolation {
-		es.ex.Max = append([]int(nil), max...)
-	}
-	t0 := time.Now()
-	sk, err := b.explore(es)
+	sk, err := b.exploreSkeleton(b.sys, formula, max)
 	if err != nil {
 		return nil, sig, false, err
 	}
-	sk.buildDur = time.Since(t0)
 	b.graphs[sig] = sk
 	return sk, sig, false, nil
 }
 
-// explore runs the forward phase once and freezes the resulting graph as a
-// reusable skeleton. The driving solver's formula only influenced the
-// extrapolation constants, so the skeleton is formula-independent within
-// its signature.
-func (b *Batch) explore(s *solver) (*skeleton, error) {
+// exploreSkeleton explores sys once under the given extrapolation maxima
+// and freezes the resulting graph as a reusable skeleton. The exploring
+// solver runs goal-free: the formula only contributes its clock atoms, so
+// the skeleton is formula-independent within its signature.
+func (b *Batch) exploreSkeleton(sys *model.System, formula *tctl.Formula, max []int) (*skeleton, error) {
+	opts := b.opts
+	opts.Algorithm = Backward
+	s := newSolverShell(sys, formula, opts)
+	s.exploreOnly = true
+	s.lightStats = true
+	if !opts.DisableExtrapolation {
+		s.ex.Max = append([]int(nil), max...)
+	}
+	t0 := time.Now()
 	init, err := s.ex.Initial()
 	if err != nil {
 		return nil, err
@@ -216,30 +248,16 @@ func (b *Batch) explore(s *solver) (*skeleton, error) {
 	if _, err := s.addNode(init); err != nil {
 		return nil, err
 	}
-	if s.workers > 1 {
-		for len(s.exploreQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return nil, err
-			}
-			frontier := s.exploreQ
-			s.exploreQ = nil
-			if err := s.exploreBatch(frontier); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for len(s.exploreQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return nil, err
-			}
-			id := s.exploreQ[len(s.exploreQ)-1]
-			s.exploreQ = s.exploreQ[:len(s.exploreQ)-1]
-			if err := s.explore(id); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.exploreAll(); err != nil {
+		return nil, err
 	}
-	return &skeleton{ex: s.ex, nodes: s.nodes, transitions: s.stats.Transitions}, nil
+	return &skeleton{
+		ex:          s.ex,
+		nodes:       s.nodes,
+		transitions: s.stats.Transitions,
+		buildDur:    time.Since(t0),
+		rounds:      s.workers > 1,
+	}, nil
 }
 
 // solveOnSkeleton clones the skeleton into the solver (sharing the
@@ -292,52 +310,41 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 	}
 	s.stats.Nodes = len(s.nodes)
 	s.stats.Transitions = sk.transitions
-	if sk.cond != nil {
-		// The graph shape is frozen with the skeleton: hand the cached
-		// condensation to this solver's condense() reuse check.
-		s.lastCond, s.lastCondNodes, s.lastCondTrans = sk.cond, len(s.nodes), sk.transitions
-	}
-
-	if s.propWorkers > 1 {
-		seeds := make([]int, len(s.nodes))
-		for i := range s.nodes {
-			seeds[i] = i
-			s.inReeval[i] = true
-		}
-		if err := s.propagate(seeds, s.opts.EarlyTermination); err != nil {
-			return nil, err
-		}
-		if sk.cond == nil {
-			sk.cond = s.lastCond // first purpose pays the Tarjan pass; later ones reuse
-		}
-	} else {
-		t1 := time.Now()
-		// Seeded worklist instead of the classical round-robin: every node
-		// is evaluated once in reverse id order (leaves of the exploration
-		// first, so information flows backward immediately), and only nodes
-		// whose successors grew are revisited. The fixpoint is the same
-		// unique least fixpoint; the worklist merely skips the re-evaluations
-		// a full pass would waste on unchanged nodes, which is most of them —
-		// batch consumers (campaign planning, the service) run dozens of
-		// these fixpoints per skeleton, so the waste was multiplied.
-		for id := len(s.nodes) - 1; id >= 0; id-- {
-			s.scheduleReeval(id)
-		}
-		for len(s.reevalQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return nil, err
-			}
-			id := s.reevalQ[0]
-			s.reevalQ = s.reevalQ[1:]
-			s.inReeval[id] = false
-			if _, err := s.reeval(id); err != nil {
-				return nil, err
-			}
-			if s.opts.EarlyTermination && s.initialDecided() {
-				break
-			}
-		}
-		s.stats.PropagateDuration += time.Since(t1)
+	if err := s.runWorklist(nil); err != nil {
+		return nil, err
 	}
 	return s.finishResult()
+}
+
+// runWorklist runs the Batch fixpoint over an already explored graph: a
+// seeded worklist instead of the classical round-robin. Every seed (every
+// node when seeds is nil) is evaluated once in reverse id order — leaves of
+// the exploration first, so information flows backward immediately — and
+// only nodes whose successors grew are revisited. The fixpoint is the same
+// unique least fixpoint; the worklist merely skips the re-evaluations a full
+// pass would waste on unchanged nodes, which is most of them — batch
+// consumers (campaign planning, the service) run dozens of these fixpoints
+// per skeleton, so the waste was multiplied. The schedule also fixes the
+// zone decompositions and progress stamps, and with them every strategy a
+// campaign executes, so reports stay reproducible.
+func (s *solver) runWorklist(seeds []bool) error {
+	defer func(t0 time.Time) { s.stats.PropagateDuration += time.Since(t0) }(time.Now())
+	for id := len(s.nodes) - 1; id >= 0; id-- {
+		if seeds == nil || seeds[id] {
+			s.scheduleReeval(id)
+		}
+	}
+	for len(s.reevalQ) > 0 {
+		if err := s.checkBudget(); err != nil {
+			return err
+		}
+		id := s.reevalQ[0]
+		s.reevalQ = s.reevalQ[1:]
+		s.inReeval[id] = false
+		s.reeval(id)
+		if s.opts.EarlyTermination && s.initialDecided() {
+			return nil
+		}
+	}
+	return nil
 }

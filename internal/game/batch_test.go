@@ -1,6 +1,7 @@
 package game
 
 import (
+	"fmt"
 	"testing"
 
 	"tigatest/internal/models"
@@ -20,7 +21,7 @@ func TestBatchMatchesSolve(t *testing.T) {
 		"control: A<> IUT.Off and User.Work",
 	}
 	for _, workers := range []int{1, 4} {
-		b, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1})
+		b, err := NewBatch(sys, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,10 +31,12 @@ func TestBatchMatchesSolve(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, src, err)
 			}
-			// Node numbering depends on the exploration schedule (serial is
-			// depth-first, parallel rounds are breadth-first), so the
-			// reference solve must use the same worker count.
-			sr, err := Solve(sys, f, Options{Algorithm: Backward, Workers: workers, PropagationWorkers: 1})
+			// Node numbering depends on the exploration order (one worker
+			// is depth-first, a pool explores breadth-first rounds), so the
+			// reference solve must use the same worker count. It runs the
+			// SCC pass, the batch the seeded worklist: two schedules over
+			// identical numbering.
+			sr, err := Solve(sys, f, Options{Algorithm: Backward, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,13 +93,11 @@ func TestBatchCooperativeFallback(t *testing.T) {
 }
 
 // TestBatchSkeletonStats pins the cache counters: the first purpose of a
-// signature is a skeleton miss, every later one a hit, and — with the
-// parallel propagator — only the first per-purpose fixpoint pays the Tarjan
-// pass, later ones reuse the skeleton's cached condensation.
+// signature is a skeleton miss, every later one a hit.
 func TestBatchSkeletonStats(t *testing.T) {
 	sys := models.SmartLight()
 	env := models.SmartLightEnv(sys)
-	b, err := NewBatch(sys, Options{Workers: 1, PropagationWorkers: 2})
+	b, err := NewBatch(sys, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,65 @@ func TestBatchSkeletonStats(t *testing.T) {
 	if second.Stats.SkeletonHits != 1 || second.Stats.SkeletonMisses != 0 {
 		t.Fatalf("second purpose must hit the skeleton cache: %+v", second.Stats)
 	}
-	if second.Stats.CondensationReuses == 0 {
-		t.Fatalf("second purpose must reuse the skeleton's condensation: %+v", second.Stats)
-	}
 	if !second.Winnable {
-		t.Fatal("Dim purpose must stay winnable on the reused condensation")
+		t.Fatal("Dim purpose must stay winnable on the reused skeleton")
+	}
+}
+
+// TestFIFOCacheEviction pins the eviction order of the Batch caches at
+// their cap: the oldest insertion goes first, and lookups do not refresh.
+func TestFIFOCacheEviction(t *testing.T) {
+	c := fifoCache[int, string]{max: 3}
+	for k := 0; k < 3; k++ {
+		c.put(k, fmt.Sprint(k))
+	}
+	if v, ok := c.get(0); !ok || v != "0" {
+		t.Fatalf("entry 0 must be cached below the cap, got %q/%v", v, ok)
+	}
+	for k := 3; k < 5; k++ {
+		c.put(k, fmt.Sprint(k))
+		if _, ok := c.get(k - 3); ok {
+			t.Fatalf("put %d at the cap must evict the oldest entry %d (lookups do not refresh)", k, k-3)
+		}
+		for live := k - 2; live <= k; live++ {
+			if v, ok := c.get(live); !ok || v != fmt.Sprint(live) {
+				t.Fatalf("after put %d: entry %d must survive, got %q/%v", k, live, v, ok)
+			}
+		}
+	}
+	if len(c.m) != 3 || len(c.order) != 3 {
+		t.Fatalf("cache must hold exactly its cap: %d entries, %d in order", len(c.m), len(c.order))
+	}
+}
+
+// TestBatchFixpointCacheCap drives the base-fixpoint cache one past its cap
+// through Prepare: the first purpose prepared is the one evicted.
+func TestBatchFixpointCacheCap(t *testing.T) {
+	sys := models.SmartLight()
+	env := models.SmartLightEnv(sys)
+	b, err := NewBatch(sys, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []fixKey
+	for k := 0; len(keys) <= fixpointCacheCap; k++ {
+		f := tctl.MustParse(env, fmt.Sprintf("control: A<> IUT.Bright and z >= %d", k))
+		for _, coop := range []bool{false, true} {
+			if err := b.Prepare(f, coop); err != nil {
+				t.Fatal(err)
+			}
+			max := sys.MaxConstants(f.ClockConstraints())
+			keys = append(keys, fixKey{sig: maxSignature(max), purpose: f.String(), coop: coop})
+		}
+	}
+	if len(b.fixes.m) != fixpointCacheCap {
+		t.Fatalf("fixpoint cache holds %d entries, cap %d", len(b.fixes.m), fixpointCacheCap)
+	}
+	evicted := len(keys) - fixpointCacheCap
+	for i, k := range keys {
+		if _, ok := b.fixes.get(k); ok != (i >= evicted) {
+			t.Fatalf("purpose %d of %d: cached=%v, want the first %d evicted", i, len(keys), ok, evicted)
+		}
 	}
 }
 

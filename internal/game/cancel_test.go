@@ -16,9 +16,9 @@ func closedChan() chan struct{} {
 }
 
 // TestCancelPreClosed pins the fast path: a cancel hook that has already
-// fired aborts the solve at the first budget checkpoint, on both the serial
-// and the parallel exploration engine, with the typed ErrCanceled (distinct
-// from resource exhaustion).
+// fired aborts the solve at the first budget checkpoint, for a pool of one
+// worker and of two, with the typed ErrCanceled (distinct from resource
+// exhaustion).
 func TestCancelPreClosed(t *testing.T) {
 	s := oneStep()
 	f := tctl.MustParse(mkEnv(s), "control: A<> P.Goal")

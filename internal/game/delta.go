@@ -40,7 +40,6 @@ package game
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"tigatest/internal/dbm"
@@ -142,11 +141,7 @@ func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.F
 	if err := mut.Validate(); err != nil {
 		return nil, err
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	opts.TreatAllControllable = coop
-	s := newSolverShell(mut, formula, opts)
-	s.lightStats = true
+	s := b.newSolver(mut, formula, coop)
 
 	max := mergedMaxima(b.sys, mut, formula.ClockConstraints())
 	dsk, _, hit, err := b.deltaSkeleton(mut, es, formula, max, &s.stats)
@@ -186,11 +181,7 @@ func (b *Batch) SolveDeltaEdgeGhost(inst, mut *model.System, es *model.EditSet, 
 	if inst.NumClocks() != mut.NumClocks() || len(inst.Procs) != len(mut.Procs) {
 		return nil, fmt.Errorf("game: delta ghost overlay: instrumented system does not match the mutant")
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	opts.TreatAllControllable = coop
-	s := newSolverShell(inst, formula, opts)
-	s.lightStats = true
+	s := b.newSolver(inst, formula, coop)
 
 	max := mergedMaxima(b.sys, mut, formula.ClockConstraints())
 	dsk, sig, hit, err := b.deltaSkeleton(mut, es, formula, max, &s.stats)
@@ -203,27 +194,9 @@ func (b *Batch) SolveDeltaEdgeGhost(inst, mut *model.System, es *model.EditSet, 
 		s.stats.SkeletonCoreMisses++
 	}
 
-	key := overlayKey{sig: sig, edge: edgeID, edits: es.Hash()}
-	ov := b.overlays[key]
-	if ov != nil {
-		s.stats.SkeletonHits++
-	} else {
-		s.stats.SkeletonMisses++
-		t0 := time.Now()
-		if ov, err = ghostOverlay(dsk.sk, edgeID, s.workers > 1, b.opts.MaxNodes, b.opts.Cancel); err != nil {
-			return nil, err
-		}
-		ov.buildDur = time.Since(t0)
-		s.stats.OverlayDuration += ov.buildDur
-		if b.overlays == nil {
-			b.overlays = make(map[overlayKey]*skeleton, overlayCacheCap)
-		}
-		if len(b.ovOrder) >= overlayCacheCap {
-			delete(b.overlays, b.ovOrder[0])
-			b.ovOrder = b.ovOrder[1:]
-		}
-		b.overlays[key] = ov
-		b.ovOrder = append(b.ovOrder, key)
+	ov, err := b.overlay(dsk.sk, overlayKey{sig: sig, edge: edgeID, edits: es.Hash()}, &s.stats)
+	if err != nil {
+		return nil, err
 	}
 	return s.solveOnSkeleton(ov)
 }
@@ -235,25 +208,15 @@ func (b *Batch) SolveDeltaEdgeGhost(inst, mut *model.System, es *model.EditSet, 
 func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tctl.Formula, max []int, st *Stats) (*deltaSkeleton, string, bool, error) {
 	sig := maxSignature(max)
 	key := deltaKey{sig: sig, edits: es.Hash()}
-	if dsk, ok := b.deltas[key]; ok {
+	if dsk, ok := b.deltas.get(key); ok {
 		return dsk, sig, true, nil
 	}
 	var dsk *deltaSkeleton
 	if b.opts.DisableIncremental {
-		opts := b.opts
-		opts.Algorithm = Backward
-		ex := newSolverShell(mut, formula, opts)
-		ex.exploreOnly = true
-		ex.lightStats = true
-		if !opts.DisableExtrapolation {
-			ex.ex.Max = append([]int(nil), max...)
-		}
-		t0 := time.Now()
-		sk, err := b.explore(ex)
+		sk, err := b.exploreSkeleton(mut, formula, max)
 		if err != nil {
 			return nil, sig, false, err
 		}
-		sk.buildDur = time.Since(t0)
 		st.ExploreDuration += sk.buildDur
 		dsk = &deltaSkeleton{sk: sk}
 	} else {
@@ -273,27 +236,15 @@ func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tct
 		} else {
 			mutEx.Max = append([]int(nil), max...)
 		}
-		workers := b.opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		t0 := time.Now()
-		dsk, err = deltaReplay(core, mutEx, es, b.sys, workers > 1, b.opts.MaxNodes, b.opts.Cancel)
+		dsk, err = deltaReplay(core, mutEx, es, b.sys, b.opts.MaxNodes, b.opts.Cancel)
 		if err != nil {
 			return nil, sig, false, err
 		}
 		dsk.sk.buildDur = time.Since(t0)
 		st.OverlayDuration += dsk.sk.buildDur
 	}
-	if b.deltas == nil {
-		b.deltas = make(map[deltaKey]*deltaSkeleton, deltaCacheCap)
-	}
-	if len(b.dOrder) >= deltaCacheCap {
-		delete(b.deltas, b.dOrder[0])
-		b.dOrder = b.dOrder[1:]
-	}
-	b.deltas[key] = dsk
-	b.dOrder = append(b.dOrder, key)
+	b.deltas.put(key, dsk)
 	return dsk, sig, false, nil
 }
 
@@ -310,10 +261,10 @@ func (b *Batch) deltaSkeleton(mut *model.System, es *model.EditSet, formula *tct
 // re-exploration, and seeds the dirty cone only when its spliced list
 // actually differs from the base list. Everything else — location-level
 // edits in the vector, or a state only the mutant reaches — is explored
-// with the mutant explorer. The replay mirrors the engine's exploration
-// schedule (serial LIFO, or frontier rounds for parallel solvers), so node
-// numbering and counts match a cold exploration of the mutant exactly.
-func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, base *model.System, parallel bool, maxNodes int, cancel <-chan struct{}) (*deltaSkeleton, error) {
+// with the mutant explorer. The replay drains in the core's own
+// exploration order (depth-first or frontier rounds), so node numbering and
+// counts match a cold exploration of the mutant exactly.
+func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, base *model.System, maxNodes int, cancel <-chan struct{}) (*deltaSkeleton, error) {
 	if core.stIndex == nil {
 		core.stIndex = make(map[uint64][]int32, len(core.nodes))
 		core.stHash = make([]uint64, len(core.nodes))
@@ -667,27 +618,18 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	if _, err := intern(init, true); err != nil {
 		return nil, err
 	}
-	if parallel {
-		for len(queue) > 0 {
-			frontier := queue
-			queue = nil
-			for _, id := range frontier {
-				if err := wire(id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		for len(queue) > 0 {
-			id := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+	if err := drainQueue(&queue, core.rounds, func(ids []int) error {
+		for _, id := range ids {
 			if err := wire(id); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return &deltaSkeleton{
-		sk:     &skeleton{ex: mutEx, nodes: nodes, transitions: transitions},
+		sk:     &skeleton{ex: mutEx, nodes: nodes, transitions: transitions, rounds: core.rounds},
 		baseOf: baseOf,
 		dirty:  dirty,
 	}, nil
@@ -718,28 +660,20 @@ func (b *Batch) Prepare(formula *tctl.Formula, coop bool) error {
 // must be the complete least fixpoint, not a prefix of it.
 func (b *Batch) baseFixpoint(formula *tctl.Formula, coop bool, max []int) (*baseFix, error) {
 	key := fixKey{sig: maxSignature(max), purpose: formula.String(), coop: coop}
-	if f, ok := b.fixes[key]; ok {
+	if f, ok := b.fixes.get(key); ok {
 		return f, nil
 	}
 	core, _, _, err := b.coreSkeletonMax(formula, max)
 	if err != nil {
 		return nil, err
 	}
-	s := b.newSolver(formula, coop)
+	s := b.newSolver(b.sys, formula, coop)
 	s.opts.EarlyTermination = false
 	if _, err := s.solveOnSkeleton(core); err != nil {
 		return nil, err
 	}
 	f := &baseFix{nodes: s.nodes, stamp: s.stamp}
-	if b.fixes == nil {
-		b.fixes = make(map[fixKey]*baseFix, fixpointCacheCap)
-	}
-	if len(b.fixOrder) >= fixpointCacheCap {
-		delete(b.fixes, b.fixOrder[0])
-		b.fixOrder = b.fixOrder[1:]
-	}
-	b.fixes[key] = f
-	b.fixOrder = append(b.fixOrder, key)
+	b.fixes.put(key, f)
 	return f, nil
 }
 
@@ -779,7 +713,6 @@ func (s *solver) solveOnDelta(dsk *deltaSkeleton, fix *baseFix) (*Result, error)
 	}
 
 	arena := make([]node, len(sk.nodes))
-	coneCount := 0
 	for i, o := range sk.nodes {
 		if i&4095 == 0 {
 			if err := s.checkCancel(); err != nil {
@@ -802,7 +735,6 @@ func (s *solver) solveOnDelta(dsk *deltaSkeleton, fix *baseFix) (*Result, error)
 				explored: true,
 			}
 		} else {
-			coneCount++
 			var goal *dbm.Federation
 			if b := dsk.baseOf[i]; b >= 0 {
 				// The state is shared with its core counterpart, so the base
@@ -831,52 +763,11 @@ func (s *solver) solveOnDelta(dsk *deltaSkeleton, fix *baseFix) (*Result, error)
 	}
 	s.stats.Nodes = len(s.nodes)
 	s.stats.Transitions = sk.transitions
-	if sk.cond != nil {
-		s.lastCond, s.lastCondNodes, s.lastCondTrans = sk.cond, len(s.nodes), sk.transitions
-	}
 	s.stamp = fix.stamp
-
-	if coneCount == 0 {
-		// The edit touches nothing reachable: the base fixpoint already is
-		// the answer.
-		return s.finishResult()
-	}
-	if s.propWorkers > 1 {
-		seeds := make([]int, 0, coneCount)
-		for i := range s.nodes {
-			if cone[i] {
-				seeds = append(seeds, i)
-				s.inReeval[i] = true
-			}
-		}
-		if err := s.propagate(seeds, s.opts.EarlyTermination); err != nil {
-			return nil, err
-		}
-		if sk.cond == nil {
-			sk.cond = s.lastCond
-		}
-	} else {
-		t1 := time.Now()
-		for id := len(s.nodes) - 1; id >= 0; id-- {
-			if cone[id] {
-				s.scheduleReeval(id)
-			}
-		}
-		for len(s.reevalQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return nil, err
-			}
-			id := s.reevalQ[0]
-			s.reevalQ = s.reevalQ[1:]
-			s.inReeval[id] = false
-			if _, err := s.reeval(id); err != nil {
-				return nil, err
-			}
-			if s.opts.EarlyTermination && s.initialDecided() {
-				break
-			}
-		}
-		s.stats.PropagateDuration += time.Since(t1)
+	// An empty cone (the edit touches nothing reachable) leaves the base
+	// fixpoint as the answer.
+	if err := s.runWorklist(cone); err != nil {
+		return nil, err
 	}
 	return s.finishResult()
 }

@@ -53,7 +53,7 @@ func BenchmarkMutantFamily(b *testing.B) {
 		// seed: identical mutants for both ablation arms and across runs.
 		// Operators may produce invalid systems or empty diffs; those rows
 		// never reach the solver in a campaign either.
-		probe, err := NewBatch(sys, Options{Workers: 1, PropagationWorkers: 1})
+		probe, err := NewBatch(sys, Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func BenchmarkMutantFamily(b *testing.B) {
 					// fresh batch per iteration keeps the 12-slot delta
 					// cache from ever serving a mutant twice.
 					b.StopTimer()
-					batch, err := NewBatch(sys, Options{Workers: 1, PropagationWorkers: 1, DisableIncremental: disable})
+					batch, err := NewBatch(sys, Options{Workers: 1, DisableIncremental: disable})
 					if err != nil {
 						b.Fatal(err)
 					}

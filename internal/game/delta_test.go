@@ -32,11 +32,11 @@ func TestDeltaSolveMatchesCold(t *testing.T) {
 			t.Fatalf("%s: no mutants generated", mn)
 		}
 		for _, workers := range []int{1, 4} {
-			inc, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1})
+			inc, err := NewBatch(sys, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1, DisableIncremental: true})
+			cold, err := NewBatch(sys, Options{Workers: workers, DisableIncremental: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,11 +120,11 @@ func TestDeltaEdgeGhostMatchesCold(t *testing.T) {
 		t.Fatal("no mutants generated")
 	}
 	for _, workers := range []int{1, 4} {
-		inc, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1})
+		inc, err := NewBatch(sys, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := NewBatch(sys, Options{Workers: workers, PropagationWorkers: 1, DisableIncremental: true})
+		cold, err := NewBatch(sys, Options{Workers: workers, DisableIncremental: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,19 @@
-// Parallel solve engine: a sharded, hash-interned node store plus a
-// worker pool that parallelizes forward exploration of the zone graph.
+// Solve engine: a sharded, hash-interned node store, the explorer
+// (exploreBatch for one frontier round, exploreAll to exhaustion) and
+// Solve's two schedules built on them.
 //
 // Successor computation (the expensive, pure part: firing every edge,
 // canonicalizing zones, extrapolating) runs on Options.Workers goroutines;
-// graph wiring stays sequential, so node numbering and the exploration
-// rounds are identical for any Workers >= 2. Backward propagation runs as
-// parallel bottom-up passes over the SCC condensation of the explored
-// graph (scc.go, propagate.go) on Options.PropagationWorkers goroutines;
-// the win-set fixpoint is a unique least fixpoint, so every worker count
-// produces winning sets semantically equal to the serial engine's (zone
-// decompositions may differ run to run). Workers == 1 bypasses this file
-// entirely and reproduces the original serial schedule. See DESIGN.md for
+// graph wiring stays sequential, so node numbering depends only on the
+// exploration order. On-the-fly solves explore in whole-frontier rounds;
+// exploreAll does too on a pool, and depth-first, one node at a time, on
+// one worker. Every pool size numbers nodes identically within an order.
+// Backward propagation in Solve runs as bottom-up passes over the SCC
+// condensation of the explored graph (scc.go, propagate.go) on
+// Options.PropagationWorkers goroutines; the win-set fixpoint is a unique
+// least fixpoint, so every worker count produces semantically equal
+// winning sets (zone decompositions may differ run to run). Batch
+// fixpoints run the seeded worklist instead (batch.go). See DESIGN.md for
 // the full protocol.
 
 package game
@@ -161,7 +164,7 @@ func (s *solver) exploreBatch(frontier []int) error {
 					tasks[i] = exploreTask{err: err}
 					continue
 				}
-				buf, tasks[i] = s.exploreOne(frontier[i], buf[:0], &wstats[w])
+				buf, tasks[i] = s.exploreOne(frontier[i], buf[:0], nil, &wstats[w])
 			}
 		}(w)
 	}
@@ -172,37 +175,44 @@ func (s *solver) exploreBatch(frontier []int) error {
 
 	// Sequential wiring, in deterministic order.
 	for i, id := range frontier {
-		t := &tasks[i]
-		if t.err != nil {
-			return t.err
+		if err := tasks[i].err; err != nil {
+			return err
 		}
-		n := s.nodes[id]
-		n.explored = true
-		for _, ws := range t.succs {
-			if ws.n.id < 0 {
-				s.registerNode(ws.n)
-			}
-			n.succs = append(n.succs, succRef{trans: ws.trans, target: ws.n.id})
-			ws.n.addPred(id)
-			s.logCondEdit(id, ws.n.id)
-		}
-		s.scheduleReeval(id)
+		s.wire(id, tasks[i].succs)
 	}
 	return nil
 }
 
-// exploreOne computes and interns the successors of one node. Worker side:
-// it must not touch s.nodes, node ids, or any sequential-side state.
-func (s *solver) exploreOne(id int, buf []symbolic.Succ, wst *Stats) ([]symbolic.Succ, exploreTask) {
+// wire links an explored node to its interned successors, in successor
+// order, numbering the ones seen for the first time, and schedules the node
+// for re-evaluation. Sequential side only.
+func (s *solver) wire(id int, succs []workerSucc) {
+	n := s.nodes[id]
+	n.explored = true
+	for _, ws := range succs {
+		if ws.n.id < 0 {
+			s.registerNode(ws.n)
+		}
+		n.succs = append(n.succs, succRef{trans: ws.trans, target: ws.n.id})
+		ws.n.addPred(id)
+		s.logCondEdit(id, ws.n.id)
+	}
+	s.scheduleReeval(id)
+}
+
+// exploreOne computes and interns the successors of one node, appending
+// them to into (a fresh slice when into is nil). Worker side: it must not
+// touch s.nodes, node ids, or any sequential-side state.
+func (s *solver) exploreOne(id int, buf []symbolic.Succ, into []workerSucc, wst *Stats) ([]symbolic.Succ, exploreTask) {
 	n := s.nodes[id]
 	succs, err := s.ex.AppendSuccessors(buf, n.st)
 	if err != nil {
 		return succs, exploreTask{err: err}
 	}
-	t := exploreTask{}
-	if len(succs) > 0 {
-		t.succs = make([]workerSucc, 0, len(succs))
+	if into == nil && len(succs) > 0 {
+		into = make([]workerSucc, 0, len(succs))
 	}
+	t := exploreTask{succs: into}
 	for i := range succs {
 		nn, created, err := s.lookupOrAdd(succs[i].State)
 		if err != nil {
@@ -219,40 +229,69 @@ func (s *solver) exploreOne(id int, buf []symbolic.Succ, wst *Stats) ([]symbolic
 	return succs, t
 }
 
-// runParallelBackward is the Workers >= 2 Backward algorithm: phase 1
-// explores the full zone graph in parallel rounds; phase 2 runs the
-// SCC-condensed bottom-up fixpoint (propagate.go) seeded with every node —
-// exploreBatch scheduled each explored node exactly once, so the global
-// re-evaluation queue already IS the full seed set. Solving components to
-// local convergence in reverse topological order reaches the global least
-// fixpoint in a single pass over the condensation.
-func (s *solver) runParallelBackward() error {
-	t0 := time.Now()
-	for len(s.exploreQ) > 0 {
-		if err := s.checkBudget(); err != nil {
-			return err
+// drainQueue empties a work queue that visit refills, in one of the two
+// orders every graph builder shares. Depth-first (rounds false) hands visit
+// the most recently queued id, one at a time; frontier rounds (rounds true)
+// hand it the whole queue, in queue order, while the ids it queues form the
+// next round. Node numbering follows from this order, so the explorer and
+// the replays that must reproduce its numbering (overlay.go, delta.go) all
+// drain through here.
+func drainQueue(q *[]int, rounds bool, visit func(ids []int) error) error {
+	var one [1]int
+	for len(*q) > 0 {
+		ids := *q
+		if rounds {
+			*q = nil
+		} else {
+			last := len(ids) - 1
+			one[0] = ids[last]
+			*q, ids = ids[:last], one[:]
 		}
-		frontier := s.exploreQ
-		s.exploreQ = nil
-		if err := s.exploreBatch(frontier); err != nil {
+		if err := visit(ids); err != nil {
 			return err
 		}
 	}
-	s.stats.ExploreDuration += time.Since(t0)
-	seeds := s.reevalQ
-	s.reevalQ = nil
-	return s.propagate(seeds, false)
+	return nil
 }
 
-// runParallelOnTheFly is the Workers >= 2 on-the-fly algorithm: batched
-// rounds that alternate a full parallel exploration of the current
-// frontier with a parallel SCC propagation pass over the incremental
-// condensation of the graph explored so far, seeded with this round's
-// scheduled nodes (propagate.go). Early termination is checked inside the
-// pass whenever the initial node's winning set grows and again between
-// rounds; relative to the serial schedule it fires at a coarser
-// granularity, which affects effort, never the answer.
-func (s *solver) runParallelOnTheFly() error {
+// exploreAll explores the graph to exhaustion from the queued nodes:
+// depth-first on one worker, in whole-frontier rounds on a pool. Every
+// explored node ends up scheduled for re-evaluation. Backward solves and
+// Batch skeleton builds both explore through here; the depth-first path
+// reuses one successor buffer instead of paying exploreBatch's per-round
+// task and stats slices per node.
+func (s *solver) exploreAll() error {
+	defer func(t0 time.Time) { s.stats.ExploreDuration += time.Since(t0) }(time.Now())
+	rounds := s.workers > 1
+	var (
+		buf []symbolic.Succ
+		out []workerSucc
+	)
+	return drainQueue(&s.exploreQ, rounds, func(ids []int) error {
+		if err := s.checkBudget(); err != nil {
+			return err
+		}
+		if rounds {
+			return s.exploreBatch(ids)
+		}
+		var t exploreTask
+		buf, t = s.exploreOne(ids[0], buf[:0], out[:0], &s.stats)
+		if t.err != nil {
+			return t.err
+		}
+		out = t.succs
+		s.wire(ids[0], t.succs)
+		return nil
+	})
+}
+
+// runOnTheFly is the on-the-fly algorithm: rounds that alternate an
+// exploration of the whole current frontier with an SCC propagation pass
+// over the incremental condensation of the graph explored so far, seeded
+// with this round's scheduled nodes (propagate.go). Early termination is
+// checked inside the pass whenever the initial node's winning set grows and
+// again between rounds.
+func (s *solver) runOnTheFly() error {
 	for len(s.exploreQ) > 0 || len(s.reevalQ) > 0 {
 		if len(s.reevalQ) > 0 {
 			if err := s.checkBudget(); err != nil {

@@ -13,12 +13,12 @@
 // graph by pure graph replay — no zone is ever recomputed — and runs the
 // ordinary per-purpose backward fixpoint on it.
 //
-// The replay mirrors the engine's exploration schedule (serial LIFO for
-// Workers == 1, frontier rounds for Workers >= 2), so node numbering,
-// successor/predecessor order, and node/transition counts are identical to
-// what exploring the instrumented clone would have produced — the solve is
-// the same computation on the same graph, byte-for-byte, minus the
-// exploration cost.
+// The replay drains in the order the core skeleton was explored in
+// (depth-first on one worker, frontier rounds on a pool), so node
+// numbering, successor/predecessor order, and node/transition counts are
+// identical to what exploring the instrumented clone would have produced —
+// the solve is the same computation on the same graph, byte-for-byte, minus
+// the exploration cost.
 
 package game
 
@@ -66,11 +66,7 @@ func (b *Batch) SolveEdgeGhost(inst *model.System, formula *tctl.Formula, edgeID
 	if inst.NumClocks() != b.sys.NumClocks() || len(inst.Procs) != len(b.sys.Procs) {
 		return nil, fmt.Errorf("game: ghost overlay: instrumented system does not match the batch core")
 	}
-	opts := b.opts
-	opts.Algorithm = Backward
-	opts.TreatAllControllable = coop
-	s := newSolverShell(inst, formula, opts)
-	s.lightStats = true
+	s := b.newSolver(inst, formula, coop)
 
 	core, sig, coreHit, err := b.coreSkeleton(formula)
 	if err != nil {
@@ -83,30 +79,30 @@ func (b *Batch) SolveEdgeGhost(inst *model.System, formula *tctl.Formula, edgeID
 		s.stats.ExploreDuration += core.buildDur
 	}
 
-	key := overlayKey{sig: sig, edge: edgeID, edits: 0}
-	ov := b.overlays[key]
-	if ov != nil {
-		s.stats.SkeletonHits++
-	} else {
-		s.stats.SkeletonMisses++
-		var err error
-		t0 := time.Now()
-		if ov, err = ghostOverlay(core, edgeID, s.workers > 1, b.opts.MaxNodes, b.opts.Cancel); err != nil {
-			return nil, err
-		}
-		ov.buildDur = time.Since(t0)
-		s.stats.OverlayDuration += ov.buildDur
-		if b.overlays == nil {
-			b.overlays = make(map[overlayKey]*skeleton, overlayCacheCap)
-		}
-		if len(b.ovOrder) >= overlayCacheCap {
-			delete(b.overlays, b.ovOrder[0])
-			b.ovOrder = b.ovOrder[1:]
-		}
-		b.overlays[key] = ov
-		b.ovOrder = append(b.ovOrder, key)
+	ov, err := b.overlay(core, overlayKey{sig: sig, edge: edgeID}, &s.stats)
+	if err != nil {
+		return nil, err
 	}
 	return s.solveOnSkeleton(ov)
+}
+
+// overlay returns the cached ghost overlay under key, splitting it from sk
+// on a miss. The overlay hit/miss counters and the replay time go to st.
+func (b *Batch) overlay(sk *skeleton, key overlayKey, st *Stats) (*skeleton, error) {
+	if ov, ok := b.overlays.get(key); ok {
+		st.SkeletonHits++
+		return ov, nil
+	}
+	st.SkeletonMisses++
+	t0 := time.Now()
+	ov, err := ghostOverlay(sk, key.edge, b.opts.MaxNodes, b.opts.Cancel)
+	if err != nil {
+		return nil, err
+	}
+	ov.buildDur = time.Since(t0)
+	st.OverlayDuration += ov.buildDur
+	b.overlays.put(key, ov)
+	return ov, nil
 }
 
 // ghostOverlay replays the core skeleton into the two-layer overlay graph
@@ -118,12 +114,11 @@ func (b *Batch) SolveEdgeGhost(inst *model.System, formula *tctl.Formula, edgeID
 // instrumented system work unchanged; zones and location vectors are
 // shared with the core, never copied.
 //
-// parallel selects the engine schedule to mirror: false replays the serial
-// LIFO exploration order, true the frontier-round order of the batched
-// engine — node ids then match what exploring the instrumented clone at
-// the same worker count would have assigned. cancel aborts the replay with
-// ErrCanceled (polled every 4096 added nodes).
-func ghostOverlay(core *skeleton, edgeID int, parallel bool, maxNodes int, cancel <-chan struct{}) (*skeleton, error) {
+// The replay drains in the core's own exploration order, so node ids match
+// what exploring the instrumented clone at the same worker count would have
+// assigned. cancel aborts the replay with ErrCanceled (polled every 4096
+// added nodes).
+func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct{}) (*skeleton, error) {
 	watched := func(t *symbolic.Transition) bool {
 		for _, e := range t.Edges {
 			if e.ID == edgeID {
@@ -199,24 +194,15 @@ func ghostOverlay(core *skeleton, edgeID int, parallel bool, maxNodes int, cance
 	if _, err := add(0, 0); err != nil {
 		return nil, err
 	}
-	if parallel {
-		for len(queue) > 0 {
-			frontier := queue
-			queue = nil
-			for _, id := range frontier {
-				if err := wire(id); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		for len(queue) > 0 {
-			id := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
+	if err := drainQueue(&queue, core.rounds, func(ids []int) error {
+		for _, id := range ids {
 			if err := wire(id); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	return &skeleton{ex: core.ex, nodes: nodes, transitions: transitions, layers: layerOf}, nil
+	return &skeleton{ex: core.ex, nodes: nodes, transitions: transitions, rounds: core.rounds, layers: layerOf}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tigatest/internal/dbm"
+	"tigatest/internal/model"
 	"tigatest/internal/models"
 	"tigatest/internal/symbolic"
 	"tigatest/internal/tctl"
@@ -40,39 +41,72 @@ func fedsEquivalent(a, b *dbm.Federation) bool {
 	return a.Equals(b)
 }
 
-// checkParallelAgreement solves the same game with the serial engine
-// (Workers 1) and the parallel engine (Workers 8) under both algorithms
-// and asserts identical winnability, state spaces and per-node winning
-// federations.
+// worklistReference solves f on sys with the schedule every Batch runs:
+// depth-first exploration on one worker, then the seeded worklist over the
+// whole graph. Solve propagates with SCC passes at every worker count, so
+// the differential suites compare it against this schedule rather than
+// against itself. Safety purposes work too (the worklist solves the dual).
+func worklistReference(sys *model.System, f *tctl.Formula) (*Result, error) {
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	s := newSolverShell(sys, f, Options{Algorithm: Backward, Workers: 1})
+	init, err := s.ex.Initial()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := s.addNode(init); err != nil {
+		return nil, err
+	}
+	if err := s.exploreAll(); err != nil {
+		return nil, err
+	}
+	// exploreAll queued every node in exploration order; the worklist
+	// seeds them itself, in reverse id order.
+	s.reevalQ = s.reevalQ[:0]
+	clear(s.inReeval)
+	if err := s.runWorklist(nil); err != nil {
+		return nil, err
+	}
+	return s.finishResult()
+}
+
+// checkParallelAgreement solves the same game with the worklist reference
+// and with Solve's SCC engine at one and at eight workers, under both
+// algorithms, and asserts identical winnability, state spaces and per-node
+// winning federations.
 func checkParallelAgreement(t *testing.T, env *tctl.ParseEnv, src string) {
 	t.Helper()
 	f := tctl.MustParse(env, src)
+	ref, err := worklistReference(env.Sys, f)
+	if err != nil {
+		t.Fatalf("worklist reference: %v", err)
+	}
+	rw := winByState(t, ref)
 	for _, alg := range []Algorithm{OnTheFly, Backward} {
-		serial, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s serial: %v", alg, err)
-		}
-		par, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: 8})
-		if err != nil {
-			t.Fatalf("%s parallel: %v", alg, err)
-		}
-		if serial.Winnable != par.Winnable {
-			t.Fatalf("%s %q: serial winnable=%v, parallel winnable=%v", alg, src, serial.Winnable, par.Winnable)
-		}
-		if serial.Stats.Nodes != par.Stats.Nodes {
-			t.Errorf("%s %q: serial explored %d states, parallel %d", alg, src, serial.Stats.Nodes, par.Stats.Nodes)
-		}
-		sw, pw := winByState(t, serial), winByState(t, par)
-		if len(sw) != len(pw) {
-			t.Fatalf("%s %q: state spaces differ: %d vs %d", alg, src, len(sw), len(pw))
-		}
-		for k, sf := range sw {
-			pf, ok := pw[k]
-			if !ok {
-				t.Fatalf("%s %q: state %s missing from parallel solve", alg, src, k)
+		for _, w := range []int{1, 8} {
+			par, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: w})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", alg, w, err)
 			}
-			if !fedsEquivalent(sf, pf) {
-				t.Errorf("%s %q: win sets differ at %s:\n  serial:   %s\n  parallel: %s", alg, src, k, sf, pf)
+			if ref.Winnable != par.Winnable {
+				t.Fatalf("%s %q workers=%d: worklist winnable=%v, SCC winnable=%v", alg, src, w, ref.Winnable, par.Winnable)
+			}
+			if ref.Stats.Nodes != par.Stats.Nodes {
+				t.Errorf("%s %q workers=%d: worklist explored %d states, SCC %d", alg, src, w, ref.Stats.Nodes, par.Stats.Nodes)
+			}
+			pw := winByState(t, par)
+			if len(rw) != len(pw) {
+				t.Fatalf("%s %q workers=%d: state spaces differ: %d vs %d", alg, src, w, len(rw), len(pw))
+			}
+			for k, rf := range rw {
+				pf, ok := pw[k]
+				if !ok {
+					t.Fatalf("%s %q workers=%d: state %s missing from SCC solve", alg, src, w, k)
+				}
+				if !fedsEquivalent(rf, pf) {
+					t.Errorf("%s %q workers=%d: win sets differ at %s:\n  worklist: %s\n  SCC:      %s", alg, src, w, k, rf, pf)
+				}
 			}
 		}
 	}
@@ -102,18 +136,18 @@ func TestParallelMatchesSerialTrainGate(t *testing.T) {
 }
 
 // TestParallelMatchesSerialLEP4 runs the benchmark-sized LEP instance
-// (n=4, TP2) through both engines. This size caught a real bug during
-// development — a zone shared with a node store entry was returned to the
-// allocator and corrupted the state interning — that the n=3 games were
-// too small to expose, so it stays pinned here (on-the-fly only; the
-// backward fixpoint on this instance is disproportionately slow).
+// (n=4, TP2) through the worklist reference and the on-the-fly SCC engine.
+// This size caught a real bug during development — a zone shared with a
+// node store entry was returned to the allocator and corrupted the state
+// interning — that the n=3 games were too small to expose, so it stays
+// pinned here.
 func TestParallelMatchesSerialLEP4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LEP n=4 takes a second")
 	}
 	sys := models.LEP(models.LEPOptions{Nodes: 4})
 	f := tctl.MustParse(models.LEPEnv(sys, 4), models.LEPTP2)
-	serial, err := Solve(sys, f, Options{Workers: 1})
+	ref, err := worklistReference(sys, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +155,11 @@ func TestParallelMatchesSerialLEP4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Winnable != par.Winnable || serial.Stats.Nodes != par.Stats.Nodes {
-		t.Fatalf("engines disagree: serial %v/%d states, parallel %v/%d states",
-			serial.Winnable, serial.Stats.Nodes, par.Winnable, par.Stats.Nodes)
+	if ref.Winnable != par.Winnable || ref.Stats.Nodes != par.Stats.Nodes {
+		t.Fatalf("schedules disagree: worklist %v/%d states, SCC %v/%d states",
+			ref.Winnable, ref.Stats.Nodes, par.Winnable, par.Stats.Nodes)
 	}
-	sw, pw := winByState(t, serial), winByState(t, par)
+	sw, pw := winByState(t, ref), winByState(t, par)
 	for k, sf := range sw {
 		if pf, ok := pw[k]; !ok || !fedsEquivalent(sf, pf) {
 			t.Fatalf("win set mismatch at %s", k)
@@ -164,9 +198,9 @@ func TestParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelStrategySimulation runs strategies synthesized by the
-// parallel engine through the adversarial concrete-semantics simulator the
-// serial strategies are validated with.
+// TestParallelStrategySimulation runs strategies synthesized at eight
+// workers through the adversarial concrete-semantics simulator the
+// single-worker strategies are validated with.
 func TestParallelStrategySimulation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -203,34 +237,35 @@ func TestParallelStrategySimulation(t *testing.T) {
 	}
 }
 
-// TestParallelRandomGames cross-checks the two engines' winnability answer
-// over a pile of small random games, including early termination.
+// TestParallelRandomGames cross-checks the SCC engine's winnability answer
+// against the worklist reference over a pile of small random games,
+// including early termination.
 func TestParallelRandomGames(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	goal := "control: A<> P.C"
 	for iter := 0; iter < 60; iter++ {
 		s := randomGame(rng)
 		f := tctl.MustParse(mkEnv(s), goal)
-		serial, err1 := Solve(s, f, Options{Workers: 1, MaxNodes: 4000})
+		ref, err1 := worklistReference(s, f)
 		par, err2 := Solve(s, f, Options{Workers: 4, MaxNodes: 4000})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("iter %d: err1=%v err2=%v", iter, err1, err2)
 		}
-		if serial.Winnable != par.Winnable {
-			t.Fatalf("iter %d: serial=%v parallel=%v", iter, serial.Winnable, par.Winnable)
+		if ref.Winnable != par.Winnable {
+			t.Fatalf("iter %d: worklist=%v SCC=%v", iter, ref.Winnable, par.Winnable)
 		}
 		early, err3 := Solve(s, f, Options{Workers: 4, MaxNodes: 4000, EarlyTermination: true})
 		if err3 != nil {
 			t.Fatalf("iter %d: early: %v", iter, err3)
 		}
-		if early.Winnable != serial.Winnable {
-			t.Fatalf("iter %d: early parallel=%v serial=%v", iter, early.Winnable, serial.Winnable)
+		if early.Winnable != ref.Winnable {
+			t.Fatalf("iter %d: early SCC=%v worklist=%v", iter, early.Winnable, ref.Winnable)
 		}
 	}
 }
 
 // TestWorkersDefault asserts that a zero Workers option solves (using all
-// cores) and agrees with the serial engine.
+// cores) and agrees with the worklist reference.
 func TestWorkersDefault(t *testing.T) {
 	sys := models.SmartLight()
 	f := tctl.MustParse(models.SmartLightEnv(sys), models.SmartLightGoal)
@@ -238,12 +273,12 @@ func TestWorkersDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Solve(sys, f, Options{Workers: 1})
+	one, err := worklistReference(sys, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def.Winnable != one.Winnable || def.Stats.Nodes != one.Stats.Nodes {
-		t.Fatalf("default workers disagrees with serial: %v/%d vs %v/%d",
+		t.Fatalf("default workers disagrees with the worklist: %v/%d vs %v/%d",
 			def.Winnable, def.Stats.Nodes, one.Winnable, one.Stats.Nodes)
 	}
 }

@@ -1,4 +1,4 @@
-// Parallel backward propagation over the SCC condensation.
+// Backward propagation over the SCC condensation (Solve's schedule).
 //
 // One propagation pass takes a seed set of nodes whose inputs changed
 // (newly explored nodes, or nodes whose successors grew in an earlier
@@ -16,9 +16,9 @@
 // exactly one worker at a time, successor components are final before a
 // component starts, and predecessor components have not started while it
 // runs. The fixpoint is a unique least fixpoint, so any schedule produces
-// winning sets semantically equal to the serial engine's; the zone
+// winning sets semantically equal to the Batch worklist's; the zone
 // decompositions (and stamps) may differ run to run, which is why the
-// cross-engine tests compare federations with Equals rather than by hash.
+// cross-schedule tests compare federations with Equals rather than by hash.
 
 package game
 

@@ -5,42 +5,38 @@ import (
 	"path/filepath"
 	"testing"
 
-	"tigatest/internal/dbm"
 	"tigatest/internal/dsl"
 	"tigatest/internal/models"
 	"tigatest/internal/tctl"
 )
 
 // propagationWorkerCounts is the sweep the semantic-equality suite runs:
-// the serial engine (1) against the SCC-propagation engine at increasing
-// concurrency.
+// the SCC-propagation engine from a pool of one to increasing concurrency.
 var propagationWorkerCounts = []int{1, 2, 4, 8}
 
 // checkWinSetsAcrossWorkers solves the same game at every worker count and
 // every algorithm and asserts that the winning sets are semantically equal
-// to the Workers=1 serial engine's — the equality the unique least fixpoint
+// to the worklist reference's — the equality the unique least fixpoint
 // guarantees regardless of propagation schedule.
 func checkWinSetsAcrossWorkers(t *testing.T, env *tctl.ParseEnv, src string, algs []Algorithm) {
 	t.Helper()
 	f := tctl.MustParse(env, src)
+	ref, err := worklistReference(env.Sys, f)
+	if err != nil {
+		t.Fatalf("%q worklist reference: %v", src, err)
+	}
+	refWin := winByState(t, ref)
 	for _, alg := range algs {
-		var ref *Result
-		var refWin map[string]*dbm.Federation
 		for _, w := range propagationWorkerCounts {
 			res, err := Solve(env.Sys, f, Options{Algorithm: alg, Workers: w})
 			if err != nil {
 				t.Fatalf("%s %q workers=%d: %v", alg, src, w, err)
 			}
-			if ref == nil {
-				ref = res
-				refWin = winByState(t, res)
-				continue
-			}
 			if res.Winnable != ref.Winnable {
-				t.Fatalf("%s %q workers=%d: winnable=%v, serial says %v", alg, src, w, res.Winnable, ref.Winnable)
+				t.Fatalf("%s %q workers=%d: winnable=%v, worklist says %v", alg, src, w, res.Winnable, ref.Winnable)
 			}
 			if res.Stats.Nodes != ref.Stats.Nodes {
-				t.Errorf("%s %q workers=%d: %d states, serial explored %d", alg, src, w, res.Stats.Nodes, ref.Stats.Nodes)
+				t.Errorf("%s %q workers=%d: %d states, worklist explored %d", alg, src, w, res.Stats.Nodes, ref.Stats.Nodes)
 			}
 			got := winByState(t, res)
 			if len(got) != len(refWin) {
@@ -52,7 +48,7 @@ func checkWinSetsAcrossWorkers(t *testing.T, env *tctl.ParseEnv, src string, alg
 					t.Fatalf("%s %q workers=%d: state %s missing", alg, src, w, k)
 				}
 				if !fedsEquivalent(rf, gf) {
-					t.Errorf("%s %q workers=%d: win sets differ at %s:\n  serial:   %s\n  parallel: %s",
+					t.Errorf("%s %q workers=%d: win sets differ at %s:\n  worklist: %s\n  SCC:      %s",
 						alg, src, w, k, rf, gf)
 				}
 			}
@@ -104,21 +100,21 @@ func TestPropagationSemanticEqualityModelfiles(t *testing.T) {
 
 // TestPropagationWorkersOption pins Options.PropagationWorkers: exploration
 // and propagation concurrency can be set independently without changing
-// the computed winning sets.
+// the computed winning sets (checked against the worklist reference).
 func TestPropagationWorkersOption(t *testing.T) {
 	sys := models.LEP(models.LEPOptions{Nodes: 3})
 	f := tctl.MustParse(models.LEPEnv(sys, 3), models.LEPTP2)
-	serial, err := Solve(sys, f, Options{Workers: 1})
+	ref, err := worklistReference(sys, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refWin := winByState(t, serial)
+	refWin := winByState(t, ref)
 	for _, pw := range []int{1, 2, 8} {
 		res, err := Solve(sys, f, Options{Workers: 4, PropagationWorkers: pw})
 		if err != nil {
 			t.Fatalf("prop-workers=%d: %v", pw, err)
 		}
-		if res.Winnable != serial.Winnable {
+		if res.Winnable != ref.Winnable {
 			t.Fatalf("prop-workers=%d: verdict flipped", pw)
 		}
 		got := winByState(t, res)
@@ -130,9 +126,10 @@ func TestPropagationWorkersOption(t *testing.T) {
 	}
 }
 
-// TestPropagationStatsCounters checks that the parallel engine reports its
+// TestPropagationStatsCounters checks that Solve's SCC engine reports its
 // per-phase effort: a condensation with at least one component, at least
 // one propagation pass, and (for the full-graph backward solve) reevals.
+// Batch solves run the seeded worklist and must report no SCC counters.
 func TestPropagationStatsCounters(t *testing.T) {
 	sys := models.LEP(models.LEPOptions{Nodes: 3})
 	f := tctl.MustParse(models.LEPEnv(sys, 3), models.LEPTP2)
@@ -150,11 +147,18 @@ func TestPropagationStatsCounters(t *testing.T) {
 	if st.Reevals == 0 || st.Updates == 0 {
 		t.Fatalf("propagation counters empty: %+v", st)
 	}
-	serial, err := Solve(sys, f, Options{Algorithm: Backward, Workers: 1})
+	b, err := NewBatch(sys, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Stats.SCCs != 0 || serial.Stats.PropagationRounds != 0 || serial.Stats.CrossSCCMessages != 0 {
-		t.Fatalf("serial engine must not report SCC counters: %+v", serial.Stats)
+	br, err := b.Solve(f, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Stats.SCCs != 0 || br.Stats.PropagationRounds != 0 || br.Stats.CrossSCCMessages != 0 {
+		t.Fatalf("batch worklist must not report SCC counters: %+v", br.Stats)
+	}
+	if br.Stats.Reevals == 0 || br.Stats.Updates == 0 {
+		t.Fatalf("batch worklist counters empty: %+v", br.Stats)
 	}
 }

@@ -431,8 +431,7 @@ func (c *condensation) link(deg func(u int) int, succ func(u, i int) int, prev *
 // the frontier explored since), recomputing only the cone of influence of
 // the new edges instead of re-running Tarjan over the whole graph (counted
 // in Stats.CondensationIncrementals; disabled by Options.DisableIncremental,
-// the E10 ablation). Both paths feed the skeleton cache in batch.go, which
-// shares the condensation across the per-purpose fixpoints of a Batch.
+// the E10 ablation).
 func (s *solver) condense() *condensation {
 	n := len(s.nodes)
 	if s.lastCond != nil && s.lastCondNodes == n && s.lastCondTrans == s.stats.Transitions {

@@ -25,8 +25,15 @@
 // when winnable, a Strategy — the state-based winning strategy a test
 // driver consults); Batch amortizes many purposes over one explored zone
 // graph per extrapolation signature, including ghost-overlay solving of
-// edge-coverage purposes (overlay.go); Options selects the engine
-// (serial, parallel exploration, SCC-parallel propagation) and budgets.
+// edge-coverage purposes (overlay.go); Options selects the algorithm, the
+// worker pools and budgets.
+//
+// Each phase has one schedule. On the fly, Solve alternates frontier
+// exploration rounds with SCC propagation passes over the condensation
+// (engine.go, propagate.go). Backward Solve and Batch explore the whole
+// graph first (exploreAll: depth-first on one worker, frontier rounds on a
+// pool); Backward Solve then runs one SCC pass, Batch a seeded worklist per
+// purpose (batch.go).
 //
 // Concurrency contract: Solve and Batch methods are single-caller (a
 // Batch is NOT safe for concurrent use — callers serialize, as the
@@ -57,8 +64,8 @@ const (
 	// OnTheFly interleaves forward exploration with backward propagation and
 	// supports early termination (the paper's UPPAAL-TIGA algorithm).
 	OnTheFly Algorithm = iota
-	// Backward builds the full zone graph first, then iterates the winning
-	// fixpoint to convergence (the classical baseline).
+	// Backward builds the full zone graph first, then solves the winning
+	// fixpoint in one propagation pass (the classical baseline).
 	Backward
 )
 
@@ -87,19 +94,22 @@ type Options struct {
 	// DisableExtrapolation turns off max-constant extrapolation (ablation;
 	// termination is then only guaranteed for bounded models).
 	DisableExtrapolation bool
-	// Workers sets the number of goroutines that explore the zone graph in
-	// parallel (0 = runtime.GOMAXPROCS(0)). Workers == 1 runs the original
-	// serial schedule; Workers >= 2 uses the batched parallel engine (see
-	// engine.go), which computes semantically identical winning sets.
+	// Workers sets the number of goroutines that explore the zone graph
+	// (0 = runtime.GOMAXPROCS(0)). It sizes one worker pool and picks no
+	// engine: every count computes semantically identical winning sets.
+	// Node numbering depends on it only through the exploration order: the
+	// on-the-fly algorithm explores in frontier rounds at every count, while
+	// Backward solves and Batch skeletons explore depth-first on one worker
+	// and in frontier rounds on more (see engine.go).
 	Workers int
 	// PropagationWorkers sets the number of goroutines solving SCC
-	// components concurrently during backward propagation (0 = same as
-	// Workers). Only meaningful for the parallel engine (Workers >= 2);
-	// the serial engine keeps its sequential global-queue propagation.
+	// components concurrently during Solve's backward propagation (0 = same
+	// as Workers). Batch ignores it: its fixpoints run the seeded worklist.
 	PropagationWorkers int
-	// Cancel, when non-nil, cancels the solve cooperatively: every engine
-	// polls it at its budget checkpoints (serial per node, exploration
-	// workers per task, propagation workers every 64 re-evaluations) and
+	// Cancel, when non-nil, cancels the solve cooperatively: every schedule
+	// polls it at its budget checkpoints (depth-first exploration per node,
+	// exploration workers per task, propagation workers every 64
+	// re-evaluations, the Batch worklist per re-evaluation) and
 	// aborts with ErrCanceled once the channel is closed. Distinct from
 	// ErrBudget so callers can tell an external abort from resource
 	// exhaustion. The channel must only ever be closed, never sent on.
@@ -131,7 +141,8 @@ type Stats struct {
 	PeakHeapBytes uint64        // sampled heap high-water mark
 	Duration      time.Duration // wall-clock solve time
 
-	// Parallel-propagation counters (zero under the serial engine).
+	// SCC-propagation counters (zero for Batch solves, whose fixpoints run
+	// the seeded worklist).
 	SCCs                     int // components in the last condensation of the graph
 	PropagationRounds        int // SCC propagation passes run
 	CrossSCCMessages         int // reschedules that crossed a component boundary
@@ -155,11 +166,8 @@ type Stats struct {
 	// solves the skeleton build, charged to the solve that missed the
 	// skeleton cache; PropagateDuration the backward fixpoint including
 	// the condensation passes it triggers; CondenseDuration those Tarjan
-	// passes alone (a subset of PropagateDuration under the parallel
-	// engine); OverlayDuration the ghost-overlay graph replay. Only the
-	// serial on-the-fly engine leaves these phases unattributed: it
-	// interleaves exploration and propagation per node (Duration still
-	// covers everything).
+	// passes alone (a subset of PropagateDuration); OverlayDuration the
+	// ghost-overlay and delta graph replays.
 	ExploreDuration   time.Duration
 	CondenseDuration  time.Duration
 	PropagateDuration time.Duration
@@ -378,7 +386,7 @@ func budgetNodesErr(max int) error {
 }
 
 // addNode interns a symbolic state and registers it immediately, returning
-// its node id. Sequential (serial-engine) path.
+// its node id. Sequential side only.
 func (s *solver) addNode(st *symbolic.State) (int, error) {
 	n, created, err := s.lookupOrAdd(st)
 	if err != nil {
@@ -424,108 +432,25 @@ func (s *solver) nodeGoal(st *symbolic.State, zoneFed *dbm.Federation) (*dbm.Fed
 }
 
 // run drives the work queues to exhaustion (or early termination/budget).
+// Backward explores the whole graph, then runs one propagation pass seeded
+// with every node: solving components to local convergence in reverse
+// topological order reaches the global least fixpoint in a single pass.
 func (s *solver) run() error {
-	if s.workers > 1 {
-		if s.opts.Algorithm == Backward {
-			return s.runParallelBackward()
-		}
-		return s.runParallelOnTheFly()
+	if s.opts.Algorithm != Backward {
+		return s.runOnTheFly()
 	}
-	if s.opts.Algorithm == Backward {
-		// Phase 1: full forward exploration.
-		t0 := time.Now()
-		for len(s.exploreQ) > 0 {
-			if err := s.checkBudget(); err != nil {
-				return err
-			}
-			id := s.exploreQ[len(s.exploreQ)-1]
-			s.exploreQ = s.exploreQ[:len(s.exploreQ)-1]
-			if err := s.explore(id); err != nil {
-				return err
-			}
-		}
-		s.stats.ExploreDuration += time.Since(t0)
-		defer func(t1 time.Time) { s.stats.PropagateDuration += time.Since(t1) }(time.Now())
-		// Phase 2: round-robin fixpoint.
-		for changed := true; changed; {
-			changed = false
-			if err := s.checkBudget(); err != nil {
-				return err
-			}
-			for id := len(s.nodes) - 1; id >= 0; id-- {
-				grew, err := s.reeval(id)
-				if err != nil {
-					return err
-				}
-				changed = changed || grew
-			}
-		}
-		return nil
+	if err := s.exploreAll(); err != nil {
+		return err
 	}
-
-	// On-the-fly: alternate propagation and exploration, preferring
-	// propagation so information flows back early.
-	for len(s.exploreQ) > 0 || len(s.reevalQ) > 0 {
-		if err := s.checkBudget(); err != nil {
-			return err
-		}
-		if len(s.reevalQ) > 0 {
-			id := s.reevalQ[0]
-			s.reevalQ = s.reevalQ[1:]
-			s.inReeval[id] = false
-			if _, err := s.reeval(id); err != nil {
-				return err
-			}
-		} else {
-			id := s.exploreQ[len(s.exploreQ)-1]
-			s.exploreQ = s.exploreQ[:len(s.exploreQ)-1]
-			if err := s.explore(id); err != nil {
-				return err
-			}
-		}
-		if s.opts.EarlyTermination && s.initialDecided() {
-			return nil
-		}
-	}
-	return nil
+	seeds := s.reevalQ
+	s.reevalQ = nil
+	return s.propagate(seeds, false)
 }
 
 // initialDecided reports whether the initial point is already known
 // winning (reach) or losing (safety dual).
 func (s *solver) initialDecided() bool {
 	return s.nodes[0].win.ContainsPoint(s.initPoint, 1)
-}
-
-// explore computes the successors of a node and schedules it for
-// re-evaluation.
-func (s *solver) explore(id int) error {
-	n := s.nodes[id]
-	if n.explored {
-		return nil
-	}
-	n.explored = true
-	succs, err := s.ex.Successors(n.st)
-	if err != nil {
-		return err
-	}
-	for _, sc := range succs {
-		t, created, err := s.lookupOrAdd(sc.State)
-		if err != nil {
-			return err
-		}
-		if created {
-			s.registerNode(t)
-		} else {
-			// Duplicate successor: its freshly built zone is garbage.
-			sc.State.Zone.Release()
-		}
-		n.succs = append(n.succs, succRef{trans: sc.Trans, target: t.id})
-		t.addPred(id)
-		s.logCondEdit(id, t.id)
-		s.stats.Transitions++
-	}
-	s.scheduleReeval(id)
-	return nil
 }
 
 func (s *solver) scheduleReeval(id int) {
@@ -546,32 +471,27 @@ func (s *solver) controllableInGame(t *symbolic.Transition) bool {
 	return ctrl
 }
 
-// reeval recomputes the winning sub-federation of one node; reports whether
-// it grew. Serial-engine path: growth is applied under the solver's global
-// stamp and predecessors go back on the global re-evaluation queue.
-func (s *solver) reeval(id int) (bool, error) {
+// reeval recomputes the winning sub-federation of one node. Worklist path:
+// growth is applied under the solver's global stamp and predecessors go
+// back on the global re-evaluation queue.
+func (s *solver) reeval(id int) {
 	n := s.nodes[id]
-	if !n.explored {
-		// Will be (re)evaluated after exploration.
-		return false, nil
-	}
-	if n.full {
-		return false, nil // already maximal
+	if !n.explored || n.full {
+		return // unexplored, or already maximal
 	}
 	delta := s.reevalCore(n, &s.stats)
 	if delta == nil {
-		return false, nil
+		return
 	}
 	s.stamp++
 	s.stats.Updates++
 	s.applyDelta(n, delta, s.stamp)
 	// Self-loops need no special casing: addPred records the node as its
-	// own predecessor, so the preds loop reschedules it (the parallel
-	// propagator in propagate.go relies on the same invariant).
+	// own predecessor, so the preds loop reschedules it (the SCC propagator
+	// in propagate.go relies on the same invariant).
 	for _, p := range n.preds {
 		s.scheduleReeval(p)
 	}
-	return true, nil
 }
 
 // reevalCore computes one application of the fixpoint operator at n and
@@ -655,8 +575,8 @@ func (s *solver) reevalCore(n *node, st *Stats) *dbm.Federation {
 }
 
 // applyDelta grows n's winning set by delta under the given progress
-// stamp. Callers own the right to mutate n (the serial engine globally,
-// a propagation worker through component ownership).
+// stamp. Callers own the right to mutate n (the worklist globally, a
+// propagation worker through component ownership).
 func (s *solver) applyDelta(n *node, delta *dbm.Federation, stamp int) {
 	n.deltas = append(n.deltas, winDelta{fed: delta, stamp: stamp})
 	n.win.Union(delta)
@@ -759,10 +679,11 @@ func (s *solver) forcedGood(n *node) *dbm.Federation {
 // checkBudget enforces the time budget on every call and samples the heap
 // for the memory budget once per 64 units of solver work (nodes explored +
 // re-evaluations). Throttling on work rather than on calls keeps
-// runtime.ReadMemStats — a stop-the-world pause — rare on the serial path
-// (which calls once per node; the former Reevals%64 condition held on every
-// one of those calls) while still sampling every round of the parallel
-// engines (which call once per frontier, however large).
+// runtime.ReadMemStats — a stop-the-world pause — rare on the per-node
+// callers (depth-first exploration and the Batch worklist; the former
+// Reevals%64 condition held on every one of those calls) while still
+// sampling every round of the frontier-round callers (which call once per
+// frontier, however large).
 func (s *solver) checkBudget() error {
 	if err := s.checkCancel(); err != nil {
 		return err

@@ -363,6 +363,13 @@ func TestSolversAgreeOnRandomGames(t *testing.T) {
 		if fwd.Winnable != bwd.Winnable {
 			t.Fatalf("iter %d: disagreement otf=%v backward=%v on\n%+v", iter, fwd.Winnable, bwd.Winnable, s)
 		}
+		ref, err := worklistReference(s, tctl.MustParse(mkEnv(s), goalLoc))
+		if err != nil {
+			t.Fatalf("iter %d: worklist: %v", iter, err)
+		}
+		if ref.Winnable != fwd.Winnable {
+			t.Fatalf("iter %d: disagreement otf=%v worklist=%v on\n%+v", iter, fwd.Winnable, ref.Winnable, s)
+		}
 	}
 }
 

@@ -266,6 +266,21 @@ func TestFleetDrainRefusesForwardsTyped(t *testing.T) {
 	owner := fleetOwner(t, svcs, models.SmartLightGoal, "auto")
 	own, fwd := svcs[owner], svcs[1-owner]
 
+	// The owner's session re-checks Draining after every response and, if
+	// set, closes the pooled link: the flip below must land only once that
+	// re-check has passed and the session is back waiting for a request.
+	ownerIdle := make(chan struct{}, 1)
+	hook := func(s *Service, req *Request) {
+		if s == own && req.Op == "peer_strategy" {
+			select {
+			case ownerIdle <- struct{}{}:
+			default:
+			}
+		}
+	}
+	idleHook.Store(&hook)
+	t.Cleanup(func() { idleHook.Store(nil) })
+
 	// Warm the forward path: establishes the pooled peer link.
 	c, err := Dial(fwd.Addr())
 	if err != nil {
@@ -277,6 +292,11 @@ func TestFleetDrainRefusesForwardsTyped(t *testing.T) {
 	}
 	if got := fwd.cl.peerHits.Load(); got != 1 {
 		t.Fatalf("warmup peer hits = %d, want 1", got)
+	}
+	select {
+	case <-ownerIdle:
+	case <-time.After(5 * time.Second):
+		t.Fatal("owner session never went idle after the warmup forward")
 	}
 
 	// Flip the owner draining (the first thing Drain does) without closing

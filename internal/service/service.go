@@ -41,9 +41,7 @@ type Options struct {
 	// MaxSessions bounds concurrent sessions; connections beyond it are
 	// answered with a busy event and closed (default 64).
 	MaxSessions int
-	// Solver configures strategy synthesis. PropagationWorkers defaults to
-	// 1: propagation stamps above one worker are schedule-dependent and
-	// could reorder strategy decisions, breaking byte-identical responses.
+	// Solver configures strategy synthesis.
 	Solver game.Options
 	// Scale is ticks per model time unit (default tiots.Scale).
 	Scale int64
@@ -137,9 +135,6 @@ func New(opts Options) *Service {
 	}
 	if opts.Scale <= 0 {
 		opts.Scale = tiots.Scale
-	}
-	if opts.Solver.PropagationWorkers == 0 {
-		opts.Solver.PropagationWorkers = 1
 	}
 	s := &Service{
 		opts:     opts,

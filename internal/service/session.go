@@ -20,6 +20,7 @@ import (
 	"net"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tigatest/internal/adapter"
@@ -104,6 +105,11 @@ func (ss *session) endRequest() {
 	ss.mu.Unlock()
 }
 
+// idleHook, when set, runs each time a session has answered a request and
+// re-checked Draining, just before it blocks reading the next request.
+// Tests use it to order a drain flip after that re-check.
+var idleHook atomic.Pointer[func(*Service, *Request)]
+
 // serve runs the session loop until the client disconnects or the service
 // drains.
 func (ss *session) serve() {
@@ -124,6 +130,9 @@ func (ss *session) serve() {
 		ss.endRequest()
 		if err != nil || ss.dirty || ss.s.Draining() {
 			return
+		}
+		if h := idleHook.Load(); h != nil {
+			(*h)(ss.s, &req)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func ParseFormula(sys *System, formula string, ranges map[string]Range) (*Formul
 // zone graph on SolveOptions.Workers goroutines and propagates winning
 // sets bottom-up over the SCC condensation on
 // SolveOptions.PropagationWorkers goroutines (all cores by default;
-// Workers: 1 forces the serial engine); the computed winning sets are
+// Workers: 1 is a pool of one); the computed winning sets are
 // semantically identical for every worker count.
 func Synthesize(sys *System, formula string, ranges map[string]Range, opts ...SolveOptions) (*SolveResult, error) {
 	f, err := ParseFormula(sys, formula, ranges)
