@@ -97,7 +97,9 @@ func main() {
 	}
 	fmt.Printf("synthesized %s strategy for %s (%d symbolic states)\n\n", mode, purpose, res.Strategy.NumNodes())
 
-	runner := &campaign.Runner{Strategy: res.Strategy, Exec: texec.Options{PlantProcs: plant}}
+	// Execute through the compiled decision tables (decision-equivalent to
+	// the interpreted strategy, ablation E8).
+	runner := &campaign.Runner{Strategy: res.Consultant(), Exec: texec.Options{PlantProcs: plant}}
 
 	if *connect != "" {
 		cli, err := adapter.Dial(*connect)

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"tigatest/internal/game"
+	"tigatest/internal/model"
 	"tigatest/internal/models"
 	"tigatest/internal/texec"
+	"tigatest/internal/tiots"
 )
 
 // BenchmarkCampaignPlan measures edge-coverage campaign planning with
@@ -145,6 +147,45 @@ func BenchmarkCampaignPlan(b *testing.B) {
 					b.ReportMetric(float64(suite.Stats.Solves), "solves")
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkExecLoop measures one step-budget-exhausted run of Algorithm
+// 3.1: Smart Light's first lazy-recovered suite entry (edge coverage,
+// compiled decision tables) against the conformant eager implementation,
+// which keeps the closed loop cycling touch? · bright! · touch? · off! …
+// until the 10 000-step budget runs out. Every step consults the
+// strategy, drives the deterministic IUT interpreter and updates the tioco
+// monitor, so allocs/op is the per-step allocation cost times 10 000.
+func BenchmarkExecLoop(b *testing.B) {
+	sys, env, plant, _, err := models.ByName("smartlight", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := (&Options{Coverage: CoverEdges, Plant: plant, Seed: 1, Solver: game.Options{Workers: 1}}).withDefaults(sys)
+	suite, err := Plan(sys, env, &opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var entry *SuiteEntry
+	for _, e := range suite.Entries {
+		if e.Lazy {
+			entry = e
+			break
+		}
+	}
+	if entry == nil {
+		b.Fatal("smartlight plan has no lazy entry")
+	}
+	runner := &Runner{Strategy: entry.consultant(), Exec: opts.Exec}
+	iut := tiots.NewDetIUT(model.ExtractPlant(sys, opts.Plant, "Stub"), tiots.Scale, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := runner.RunOnce(iut)
+		if res.Reason != "step budget exhausted" {
+			b.Fatalf("run ended early: %s", res)
 		}
 	}
 }

@@ -125,15 +125,13 @@ type Options struct {
 // the compiled decision tables by default (compiled once per Result and
 // shared), the interpreted strategy under the DisableCompile ablation.
 // Compilation failure is impossible for the reachability strategies the
-// planner synthesizes; any error falls back to the interpreted oracle.
+// planner synthesizes; Result.Consultant falls back to the interpreted
+// oracle on any error.
 func (o *Options) consultantFor(res *game.Result) game.Consultant {
 	if o.DisableCompile {
 		return res.Strategy
 	}
-	if cs, err := res.CompiledStrategy(); err == nil {
-		return cs
-	}
-	return res.Strategy
+	return res.Consultant()
 }
 
 func (o *Options) withDefaults(sys *model.System) Options {

@@ -481,7 +481,8 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 				continue
 			}
 			if m.candidate != nil {
-				runner := &Runner{Strategy: m.candidate.Strategy, Exec: opts.Exec}
+				consult := opts.consultantFor(m.candidate)
+				runner := &Runner{Strategy: consult, Exec: opts.Exec}
 				r := runner.RunOnce(tiots.NewDetIUT(impl, scale, tiots.LazyPolicy()))
 				if r.Verdict == texec.Pass {
 					if ec := replayCover(impl, opts.Plant, r.Trace, scale); ec.has(pg.Goal) {
@@ -495,6 +496,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 							ConformantTrace: r.Trace.Format(m.candidate.Strategy.System(), scale),
 							Nodes:           m.candidate.Stats.Nodes,
 							Transitions:     m.candidate.Stats.Transitions,
+							consult:         consult,
 						}
 						suite.Entries = append(suite.Entries, entry)
 						lazies = append(lazies, lazyCover{ec: ec, entry: entry.Index})

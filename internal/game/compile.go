@@ -164,6 +164,16 @@ func (r *Result) CompiledStrategy() (*CompiledStrategy, error) {
 	return r.compiled, r.compileErr
 }
 
+// Consultant returns the execution-facing view of the result's strategy:
+// the compiled decision tables (see CompiledStrategy), or the interpreted
+// strategy when compilation fails. The two are decision-equivalent.
+func (r *Result) Consultant() Consultant {
+	if cs, err := r.CompiledStrategy(); err == nil {
+		return cs
+	}
+	return r.Strategy
+}
+
 // --- wire format --------------------------------------------------------
 
 // wireMagic opens every encoded compiled strategy.

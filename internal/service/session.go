@@ -326,9 +326,8 @@ func (rv *resolved) consultant(s *Service) game.Consultant {
 		s.cache.compiledHits.Add(1)
 		return rv.cs
 	}
-	consult := game.Consultant(rv.res.Strategy)
-	if cs, err := rv.res.CompiledStrategy(); err == nil {
-		consult = cs
+	consult := rv.res.Consultant()
+	if _, ok := consult.(*game.CompiledStrategy); ok {
 		s.cache.compiledHits.Add(1)
 	}
 	return consult

@@ -21,7 +21,9 @@
 package tioco
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,23 +44,55 @@ type state struct {
 	locs []int   // locations of plant processes (indexed by plant slot)
 	vars []int32 // full variable environment (plant assignments only)
 	val  []int64 // all clocks, ticks
+
+	// prev and kept are commit's scratch marks: s was a hypothesis before
+	// the step, s stays one after it. Both are false between steps.
+	prev, kept bool
 }
 
-func (s *state) clone() *state {
-	return &state{
-		locs: append([]int(nil), s.locs...),
-		vars: append([]int32(nil), s.vars...),
-		val:  append([]int64(nil), s.val...),
+// appendKey appends s's identity, its locations, variables and clock
+// values, as fixed-width integers. Every hypothesis of one monitor has
+// slices of the same lengths, so equal keys mean equal states.
+func (s *state) appendKey(b []byte) []byte {
+	for _, l := range s.locs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(l))
 	}
+	for _, v := range s.vars {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	for _, v := range s.val {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// event is one observed trace step: an action on ch (input or output), or
+// a delay of d ticks when ch is negative.
+type event struct {
+	d     int64
+	ch    int32
+	input bool
 }
 
 // Monitor tracks Out(s0 After σ) for the plant part of a specification.
+//
+// The monitor owns its hypothesis states: every state is referenced from
+// exactly one of states, spare (during a step) or free, never twice, so
+// Delay may advance survivors in place and Input/Output recycle the states
+// a step leaves behind.
 type Monitor struct {
 	sys    *model.System
 	plant  []int // process indices of the plant (IUT) in the closed model
 	scale  int64
 	states []*state
-	trace  []string // human-readable observed trace
+	spare  []*state // reused backing array for the next hypothesis set
+	free   []*state // recycled states for fire
+	ctx    expr.Ctx // reused expression context
+	trace  []event  // observed trace, rendered by Trace
+	// seen and key are commit's reused duplicate filter: the keys of the
+	// hypotheses kept so far, and the key being built.
+	seen map[string]bool
+	key  []byte
 }
 
 // NewMonitor builds a monitor for the plant processes of the specification.
@@ -92,20 +126,45 @@ func (m *Monitor) Reset() {
 		init.locs[k] = m.sys.Procs[pi].Init
 	}
 	m.states = []*state{init}
-	m.trace = nil
+	m.trace = m.trace[:0]
 }
 
 // StateCount returns the number of live hypotheses (1 for deterministic
 // specifications).
 func (m *Monitor) StateCount() int { return len(m.states) }
 
-// Trace returns the observed trace rendered for diagnostics.
-func (m *Monitor) Trace() string { return strings.Join(m.trace, " · ") }
+// Trace returns the observed trace rendered for diagnostics: delays as
+// model time units with three decimals, inputs as name? and outputs as
+// name!, joined by " · ".
+func (m *Monitor) Trace() string {
+	var b strings.Builder
+	for i, ev := range m.trace {
+		if i > 0 {
+			b.WriteString(" · ")
+		}
+		switch {
+		case ev.ch < 0:
+			fmt.Fprintf(&b, "%d.%03d", ev.d/m.scale, (ev.d%m.scale)*1000/m.scale)
+		case ev.input:
+			b.WriteString(m.sys.Channels[ev.ch].Name)
+			b.WriteString("?")
+		default:
+			b.WriteString(m.sys.Channels[ev.ch].Name)
+			b.WriteString("!")
+		}
+	}
+	return b.String()
+}
+
+// evalCtx returns the monitor's expression context bound to s's variables.
+func (m *Monitor) evalCtx(s *state) *expr.Ctx {
+	m.ctx.Tbl, m.ctx.Env = m.sys.Vars, s.vars
+	return &m.ctx
+}
 
 // guardHolds evaluates an edge's guard in a hypothesis state.
 func (m *Monitor) guardHolds(e *model.Edge, s *state) bool {
-	ctx := &expr.Ctx{Tbl: m.sys.Vars, Env: s.vars}
-	ok, err := expr.Truth(ctx, e.Guard.Data)
+	ok, err := expr.Truth(m.evalCtx(s), e.Guard.Data)
 	if err != nil || !ok {
 		return false
 	}
@@ -152,12 +211,20 @@ func (m *Monitor) maxDelay(s *state, horizon int64) int64 {
 	return best
 }
 
-// fire takes the plant edge in the hypothesis.
+// fire takes the plant edge in the hypothesis, into a new (possibly
+// recycled) state; s is left unchanged.
 func (m *Monitor) fire(e *model.Edge, plantSlot int, s *state) (*state, error) {
-	n := s.clone()
+	var n *state
+	if k := len(m.free); k > 0 {
+		n, m.free = m.free[k-1], m.free[:k-1]
+		n.locs = append(n.locs[:0], s.locs...)
+		n.vars = append(n.vars[:0], s.vars...)
+		n.val = append(n.val[:0], s.val...)
+	} else {
+		n = &state{locs: slices.Clone(s.locs), vars: slices.Clone(s.vars), val: slices.Clone(s.val)}
+	}
 	n.locs[plantSlot] = e.Dst
-	ctx := &expr.Ctx{Tbl: m.sys.Vars, Env: n.vars}
-	if err := expr.ApplyAll(ctx, e.Assigns); err != nil {
+	if err := expr.ApplyAll(m.evalCtx(n), e.Assigns); err != nil {
 		return nil, err
 	}
 	for _, r := range e.Resets {
@@ -168,20 +235,20 @@ func (m *Monitor) fire(e *model.Edge, plantSlot int, s *state) (*state, error) {
 
 // Delay records that d ticks passed with no observable action. It fails
 // when no specification state allows the plant to stay silent that long
-// (e.g. an invariant forces an output earlier).
+// (e.g. an invariant forces an output earlier). Surviving hypotheses age
+// in place; on a violation the hypotheses are left untouched.
 func (m *Monitor) Delay(d int64) error {
-	var next []*state
+	m.trace = append(m.trace, event{ch: -1, d: d})
+	next := m.states[:0]
 	for _, s := range m.states {
 		if m.maxDelay(s, d) < d {
 			continue // this hypothesis forces an action before d
 		}
-		n := s.clone()
-		for i := range n.val {
-			n.val[i] += d
+		for i := range s.val {
+			s.val[i] += d
 		}
-		next = append(next, n)
+		next = append(next, s)
 	}
-	m.trace = append(m.trace, fmt.Sprintf("%d.%03d", d/m.scale, (d%m.scale)*1000/m.scale))
 	if len(next) == 0 {
 		return &Violation{Kind: "delay", Detail: fmt.Sprintf("implementation stayed quiet for %d ticks but the specification forces an output earlier (after %s)", d, m.Trace())}
 	}
@@ -197,7 +264,7 @@ func (m *Monitor) Input(chanIdx int) error {
 	if chanIdx < 0 || chanIdx >= len(m.sys.Channels) || m.sys.Channels[chanIdx].Kind != model.Controllable {
 		return fmt.Errorf("tioco: channel %d is not an input channel", chanIdx)
 	}
-	var next []*state
+	next := m.spare[:0]
 	for _, s := range m.states {
 		fired := false
 		for k, pi := range m.plant {
@@ -222,8 +289,8 @@ func (m *Monitor) Input(chanIdx int) error {
 			next = append(next, s) // input ignored in this hypothesis
 		}
 	}
-	m.trace = append(m.trace, m.sys.Channels[chanIdx].Name+"?")
-	m.states = dedup(next)
+	m.trace = append(m.trace, event{ch: int32(chanIdx), input: true})
+	m.commit(next)
 	return nil
 }
 
@@ -234,7 +301,7 @@ func (m *Monitor) Output(chanIdx int) error {
 	if chanIdx < 0 || chanIdx >= len(m.sys.Channels) || m.sys.Channels[chanIdx].Kind != model.Uncontrollable {
 		return &Violation{Kind: "output", Detail: fmt.Sprintf("observed action on non-output channel %d", chanIdx)}
 	}
-	var next []*state
+	next := m.spare[:0]
 	for _, s := range m.states {
 		for k, pi := range m.plant {
 			p := m.sys.Procs[pi]
@@ -254,12 +321,55 @@ func (m *Monitor) Output(chanIdx int) error {
 			}
 		}
 	}
-	m.trace = append(m.trace, m.sys.Channels[chanIdx].Name+"!")
+	m.trace = append(m.trace, event{ch: int32(chanIdx)})
 	if len(next) == 0 {
 		return &Violation{Kind: "output", Detail: fmt.Sprintf("output %s! not allowed by the specification (after %s; allowed: %s)", m.sys.Channels[chanIdx].Name, m.Trace(), m.AllowedOutputs())}
 	}
-	m.states = dedup(next)
+	m.commit(next)
 	return nil
+}
+
+// commit installs next — built in the spare array — as the hypothesis set.
+// Duplicates are dropped, keeping first occurrences in order, and every
+// state not carried over (previous hypotheses that fired into a successor,
+// dropped duplicates) is recycled. Each step costs time linear in the
+// number of hypotheses.
+func (m *Monitor) commit(next []*state) {
+	for _, s := range m.states {
+		s.prev = true
+	}
+	if len(next) > 1 {
+		if m.seen == nil {
+			m.seen = map[string]bool{}
+		}
+		clear(m.seen)
+		kept := next[:0]
+		for _, s := range next {
+			m.key = s.appendKey(m.key[:0])
+			if m.seen[string(m.key)] {
+				if !s.prev {
+					m.free = append(m.free, s) // a fresh successor; previous states are recycled below
+				}
+				continue
+			}
+			m.seen[string(m.key)] = true
+			kept = append(kept, s)
+		}
+		next = kept
+	}
+	for _, s := range next {
+		s.kept = true
+	}
+	for _, s := range m.states {
+		if !s.kept {
+			m.free = append(m.free, s)
+		}
+		s.prev = false
+	}
+	for _, s := range next {
+		s.kept = false
+	}
+	m.spare, m.states = m.states[:0], next
 }
 
 // AllowedOutputs lists the outputs the specification currently allows
@@ -286,17 +396,4 @@ func (m *Monitor) AllowedOutputs() string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, ",")
-}
-
-func dedup(ss []*state) []*state {
-	seen := map[string]bool{}
-	var out []*state
-	for _, s := range ss {
-		key := fmt.Sprintf("%v|%v|%v", s.locs, s.vars, s.val)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -22,7 +22,7 @@ package tiots
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"tigatest/internal/expr"
 	"tigatest/internal/model"
@@ -48,24 +48,25 @@ type Trace []Event
 
 // Format renders the trace like "5.0 · touch? · 1.5 · dim!".
 func (tr Trace) Format(sys *model.System, scale int64) string {
-	out := ""
+	var b strings.Builder
 	for i, e := range tr {
 		if i > 0 {
-			out += " · "
+			b.WriteString(" · ")
 		}
 		if e.IsDelay() {
 			whole := e.Delay / scale
 			frac := (e.Delay % scale) * 1000 / scale
-			out += fmt.Sprintf("%d.%03d", whole, frac)
+			fmt.Fprintf(&b, "%d.%03d", whole, frac)
 		} else {
 			mark := "?"
 			if e.Kind == model.Uncontrollable {
 				mark = "!"
 			}
-			out += sys.Channels[e.Chan].Name + mark
+			b.WriteString(sys.Channels[e.Chan].Name)
+			b.WriteString(mark)
 		}
 	}
-	return out
+	return b.String()
 }
 
 // TotalDelay sums the delays of the trace in ticks.
@@ -102,6 +103,17 @@ type Interp struct {
 	Sys   *model.System
 	Scale int64
 	St    *State
+
+	// ctx is the one expression context guards and assignments evaluate
+	// in, bound to ctxState's variables; evalCtx rebinds it when St has
+	// been replaced (Reset does).
+	ctx      expr.Ctx
+	ctxState *State
+	// transitions memoizes, by the global ID of the internal or emitting
+	// edge, the EnabledTransition values enabled so far, so repeated
+	// enumeration shares one Edges slice and Label per transition instead
+	// of rebuilding them.
+	transitions [][]EnabledTransition
 }
 
 // NewInterp creates an interpreter at the initial state.
@@ -137,59 +149,71 @@ type EnabledTransition struct {
 	Label string
 }
 
-// guardHolds checks clock and data guards of the edges at the current
+// sigKey identifies a transition: its channel (-1 internal) plus the IDs
+// of its one or two participating edges (e1 is -1 for a single edge).
+type sigKey struct {
+	ch, e0, e1 int
+}
+
+func sigOf(t EnabledTransition) sigKey {
+	k := sigKey{ch: t.Chan, e0: t.Edges[0].ID, e1: -1}
+	if len(t.Edges) > 1 {
+		k.e1 = t.Edges[1].ID
+	}
+	return k
+}
+
+// evalCtx returns the interpreter's expression context bound to the
+// current variable environment.
+func (ip *Interp) evalCtx() *expr.Ctx {
+	if ip.ctxState != ip.St {
+		ip.ctx, ip.ctxState = expr.Ctx{Tbl: ip.Sys.Vars, Env: ip.St.Vars}, ip.St
+	}
+	return &ip.ctx
+}
+
+// guardHolds checks the clock and data guards of one edge at the current
 // state.
-func (ip *Interp) guardHolds(edges []*model.Edge) bool {
-	ctx := &expr.Ctx{Tbl: ip.Sys.Vars, Env: ip.St.Vars}
-	for _, e := range edges {
-		ok, err := expr.Truth(ctx, e.Guard.Data)
-		if err != nil || !ok {
-			return false
+func (ip *Interp) guardHolds(e *model.Edge) bool {
+	ok, err := expr.Truth(ip.evalCtx(), e.Guard.Data)
+	if err != nil || !ok {
+		return false
+	}
+	for _, c := range e.Guard.Clocks {
+		var vi, vj int64
+		if c.I > 0 {
+			vi = ip.St.Val[c.I-1]
 		}
-		for _, c := range e.Guard.Clocks {
-			var vi, vj int64
-			if c.I > 0 {
-				vi = ip.St.Val[c.I-1]
-			}
-			if c.J > 0 {
-				vj = ip.St.Val[c.J-1]
-			}
-			if !c.Bound.SatisfiedBy(vi-vj, ip.Scale) {
-				return false
-			}
+		if c.J > 0 {
+			vj = ip.St.Val[c.J-1]
+		}
+		if !c.Bound.SatisfiedBy(vi-vj, ip.Scale) {
+			return false
 		}
 	}
 	return true
 }
 
 // Enabled enumerates the transitions enabled right now.
-func (ip *Interp) Enabled() []EnabledTransition {
+func (ip *Interp) Enabled() []EnabledTransition { return ip.appendEnabled(nil) }
+
+// appendEnabled appends the transitions enabled right now to out. Guards
+// and the committed-location rule are checked before a transition's
+// EnabledTransition value is looked up, so disabled candidates cost no
+// allocation and enabled ones only on their first occurrence.
+func (ip *Interp) appendEnabled(out []EnabledTransition) []EnabledTransition {
 	sys := ip.Sys
 	committed := sys.IsCommitted(ip.St.Locs)
-	var out []EnabledTransition
-	consider := func(edges []*model.Edge, chanIdx int, kind model.Kind, label string) {
-		if committed {
-			anyCommitted := false
-			for _, e := range edges {
-				if sys.Procs[e.Proc].Locations[e.Src].Committed {
-					anyCommitted = true
-					break
-				}
-			}
-			if !anyCommitted {
-				return
-			}
-		}
-		if ip.guardHolds(edges) {
-			out = append(out, EnabledTransition{Chan: chanIdx, Kind: kind, Edges: edges, Label: label})
-		}
-	}
+	isCommitted := func(e *model.Edge) bool { return sys.Procs[e.Proc].Locations[e.Src].Committed }
 	for pi, p := range sys.Procs {
 		for _, ei := range p.OutEdges(ip.St.Locs[pi]) {
 			e := &p.Edges[ei]
 			switch e.Dir {
 			case model.NoSync:
-				consider([]*model.Edge{e}, -1, e.Kind, "tau("+sys.EdgeLabel(e)+")")
+				if committed && !isCommitted(e) || !ip.guardHolds(e) {
+					continue
+				}
+				out = append(out, ip.transition(e, nil))
 			case model.Emit:
 				for qi, q := range sys.Procs {
 					if qi == pi {
@@ -197,9 +221,13 @@ func (ip *Interp) Enabled() []EnabledTransition {
 					}
 					for _, fi := range q.OutEdges(ip.St.Locs[qi]) {
 						f := &q.Edges[fi]
-						if f.Dir == model.Receive && f.Chan == e.Chan {
-							consider([]*model.Edge{e, f}, e.Chan, sys.Channels[e.Chan].Kind, sys.Channels[e.Chan].Name)
+						if f.Dir != model.Receive || f.Chan != e.Chan {
+							continue
 						}
+						if committed && !isCommitted(e) && !isCommitted(f) || !ip.guardHolds(e) || !ip.guardHolds(f) {
+							continue
+						}
+						out = append(out, ip.transition(e, f))
 					}
 				}
 			}
@@ -208,9 +236,32 @@ func (ip *Interp) Enabled() []EnabledTransition {
 	return out
 }
 
+// transition returns the memoized EnabledTransition of the internal edge
+// e (f nil) or of the synchronization of emitter e with receiver f.
+func (ip *Interp) transition(e, f *model.Edge) EnabledTransition {
+	if e.ID >= len(ip.transitions) {
+		n := max(e.ID+1, ip.Sys.NumEdges())
+		ip.transitions = append(ip.transitions, make([][]EnabledTransition, n-len(ip.transitions))...)
+	}
+	for _, t := range ip.transitions[e.ID] {
+		if f == nil || t.Edges[1] == f {
+			return t
+		}
+	}
+	var t EnabledTransition
+	if f == nil {
+		t = EnabledTransition{Chan: -1, Kind: e.Kind, Edges: []*model.Edge{e}, Label: "tau(" + ip.Sys.EdgeLabel(e) + ")"}
+	} else {
+		ch := ip.Sys.Channels[e.Chan]
+		t = EnabledTransition{Chan: e.Chan, Kind: ch.Kind, Edges: []*model.Edge{e, f}, Label: ch.Name}
+	}
+	ip.transitions[e.ID] = append(ip.transitions[e.ID], t)
+	return t
+}
+
 // Take fires the transition, applying assignments and resets.
 func (ip *Interp) Take(t EnabledTransition) error {
-	ctx := &expr.Ctx{Tbl: ip.Sys.Vars, Env: ip.St.Vars}
+	ctx := ip.evalCtx()
 	for _, e := range t.Edges {
 		ip.St.Locs[e.Proc] = e.Dst
 	}
@@ -370,15 +421,19 @@ type Seeder interface {
 type DetIUT struct {
 	ip     *Interp
 	policy *DetPolicy
-	// pending tracks, per uncontrollable transition signature, how long its
-	// guard has been enabled (to implement Offset).
-	enabledFor map[string]int64
+	// windows maps each enabled uncontrollable transition to how long its
+	// guard has been enabled (to implement Offset); spareWindows is the
+	// second, cleared map refreshWindows rebuilds it into, so neither is
+	// reallocated per step.
+	windows, spareWindows map[sigKey]int64
+	// enabledBuf is the reused backing array of enabled().
+	enabledBuf []EnabledTransition
 }
 
 // NewDetIUT builds a deterministic implementation from a network (usually
 // the plant part of a specification, or a mutated copy).
 func NewDetIUT(sys *model.System, scale int64, policy *DetPolicy) *DetIUT {
-	return &DetIUT{ip: NewInterp(sys, scale), policy: policy, enabledFor: map[string]int64{}}
+	return &DetIUT{ip: NewInterp(sys, scale), policy: policy, windows: map[sigKey]int64{}, spareWindows: map[sigKey]int64{}}
 }
 
 // State exposes the current concrete state (tests only).
@@ -390,61 +445,59 @@ func (d *DetIUT) Interp() *Interp { return d.ip }
 // Reset implements IUT.
 func (d *DetIUT) Reset() {
 	d.ip.Reset()
-	d.enabledFor = map[string]int64{}
+	clear(d.windows)
 }
 
-func transSig(t EnabledTransition) string {
-	sig := fmt.Sprintf("c%d", t.Chan)
-	for _, e := range t.Edges {
-		sig += fmt.Sprintf(":%d", e.ID)
-	}
-	return sig
+// enabled enumerates the transitions enabled right now into the reused
+// buffer; the result is valid until the next call.
+func (d *DetIUT) enabled() []EnabledTransition {
+	d.enabledBuf = d.ip.appendEnabled(d.enabledBuf[:0])
+	return d.enabledBuf
 }
 
 // Offer implements IUT: deliver the input; per strong input-enabledness the
 // input is ignored when no edge is enabled (common for real systems: the
 // button does nothing).
 func (d *DetIUT) Offer(chanIdx int) error {
-	for _, t := range d.ip.Enabled() {
+	for _, t := range d.enabled() {
 		if t.Chan == chanIdx && t.Kind == model.Controllable {
 			if err := d.ip.Take(t); err != nil {
 				return err
 			}
-			d.noteGuardChanges()
+			d.refreshWindows()
 			return nil
 		}
 	}
 	return nil // input ignored
 }
 
-// noteGuardChanges refreshes the enabled-since bookkeeping after a discrete
-// step (windows restart when the state changes).
-func (d *DetIUT) noteGuardChanges() {
-	now := map[string]int64{}
-	for _, t := range d.ip.Enabled() {
-		if t.Kind != model.Uncontrollable {
-			continue
-		}
-		sig := transSig(t)
-		if v, ok := d.enabledFor[sig]; ok {
-			now[sig] = v
-		} else {
-			now[sig] = 0
+// refreshWindows brings the enabled-since bookkeeping up to date with the
+// current state: windows still open keep their age, newly opened ones
+// start at zero and closed ones are dropped (so a window restarts when the
+// state change that closed it is undone).
+func (d *DetIUT) refreshWindows() {
+	next := d.spareWindows
+	clear(next)
+	for _, t := range d.enabled() {
+		if t.Kind == model.Uncontrollable {
+			k := sigOf(t)
+			next[k] = d.windows[k]
 		}
 	}
-	d.enabledFor = now
+	d.windows, d.spareWindows = next, d.windows
 }
 
 // scheduledOutput returns the next output due within d ticks: the enabled
-// uncontrollable transition whose remaining offset is smallest.
+// uncontrollable transition whose remaining offset is smallest, ties going
+// to the lower priority value and then to enumeration order.
 func (d *DetIUT) scheduledOutput(dl int64) (EnabledTransition, int64, bool) {
-	type cand struct {
-		t      EnabledTransition
-		due    int64
-		branch int
-	}
-	var cands []cand
-	for _, t := range d.ip.Enabled() {
+	var (
+		best       EnabledTransition
+		bestDue    int64
+		bestBranch int
+		found      bool
+	)
+	for _, t := range d.enabled() {
 		if t.Kind != model.Uncontrollable {
 			continue
 		}
@@ -455,36 +508,28 @@ func (d *DetIUT) scheduledOutput(dl int64) (EnabledTransition, int64, bool) {
 		var due int64
 		if d.policy != nil && d.policy.Lazy && !explicit {
 			// Fire at window close. due is relative to now (the clocks have
-			// aged), so no enabledFor subtraction applies; windows nothing
-			// closes stay quiescent.
+			// aged), so no window age applies; windows nothing closes stay
+			// quiescent.
 			close, bounded := d.windowCloseIn(t)
 			if !bounded {
 				continue
 			}
 			due = close
 		} else {
-			sig := transSig(t)
-			waited := d.enabledFor[sig]
-			due = dec.Offset - waited
+			due = dec.Offset - d.windows[sigOf(t)]
 		}
 		if due < 0 {
 			due = 0
 		}
-		cands = append(cands, cand{t: t, due: due, branch: d.policy.priorityFor(t)})
-	}
-	if len(cands) == 0 {
-		return EnabledTransition{}, 0, false
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].due != cands[j].due {
-			return cands[i].due < cands[j].due
+		branch := d.policy.priorityFor(t)
+		if !found || due < bestDue || due == bestDue && branch < bestBranch {
+			best, bestDue, bestBranch, found = t, due, branch, true
 		}
-		return cands[i].branch < cands[j].branch
-	})
-	if cands[0].due > dl {
+	}
+	if !found || bestDue > dl {
 		return EnabledTransition{}, 0, false
 	}
-	return cands[0].t, cands[0].due, true
+	return best, bestDue, true
 }
 
 // Advance implements IUT: move time forward by up to d ticks; if an output
@@ -509,7 +554,7 @@ func (d *DetIUT) Advance(dl int64) *Output {
 			if err := d.ip.Take(t); err != nil {
 				return nil
 			}
-			d.noteGuardChanges()
+			d.refreshWindows()
 			return &Output{Chan: t.Chan, After: elapsed}
 		}
 		if remaining <= 0 {
@@ -627,29 +672,10 @@ func (d *DetIUT) stepTime(dt int64) {
 		return
 	}
 	d.ip.Advance(dt)
-	for sig := range d.enabledFor {
-		d.enabledFor[sig] += dt
+	for k := range d.windows {
+		d.windows[k] += dt
 	}
-	// Newly opened windows start aging now.
-	for _, t := range d.ip.Enabled() {
-		if t.Kind != model.Uncontrollable {
-			continue
-		}
-		sig := transSig(t)
-		if _, ok := d.enabledFor[sig]; !ok {
-			d.enabledFor[sig] = 0
-		}
-	}
-	// Windows that closed while waiting reset their age.
-	open := map[string]bool{}
-	for _, t := range d.ip.Enabled() {
-		if t.Kind == model.Uncontrollable {
-			open[transSig(t)] = true
-		}
-	}
-	for sig := range d.enabledFor {
-		if !open[sig] {
-			delete(d.enabledFor, sig)
-		}
-	}
+	// Newly opened windows start aging now; windows that closed while
+	// waiting reset their age.
+	d.refreshWindows()
 }

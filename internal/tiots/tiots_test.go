@@ -332,6 +332,54 @@ func TestWindowReopensResetAge(t *testing.T) {
 	_ = beep
 }
 
+func TestWindowAgeSurvivesChunkedAdvance(t *testing.T) {
+	// Guard window [2,4]; offset 0.5: fires 2.5 units after press whether
+	// time is advanced in one call or in quarter-unit chunks, so a window's
+	// age must carry over between Advance calls.
+	s, press, _ := beeper()
+	var beepEdge int
+	for _, e := range s.Procs[0].Edges {
+		if e.Dir == model.Emit {
+			beepEdge = e.ID
+		}
+	}
+	iut := NewDetIUT(s, Scale, &DetPolicy{ByEdge: map[int]OutputDecision{
+		beepEdge: {Enabled: true, Offset: Scale / 2},
+	}})
+	for round := 0; round < 2; round++ {
+		iut.Offer(press)
+		var elapsed int64
+		for {
+			out := iut.Advance(Scale / 4)
+			if out != nil {
+				elapsed += out.After
+				break
+			}
+			elapsed += Scale / 4
+			if elapsed > 10*Scale {
+				t.Fatalf("round %d: beep never fired", round)
+			}
+		}
+		if elapsed != 2*Scale+Scale/2 {
+			t.Fatalf("round %d: beep after %d ticks, want %d", round, elapsed, 2*Scale+Scale/2)
+		}
+	}
+}
+
+func TestEnabledRepeatsTransitions(t *testing.T) {
+	// Enumerating twice yields equal transitions; Take works on either.
+	s, _, _ := beeper()
+	ip := NewInterp(s, Scale)
+	first, second := ip.Enabled(), ip.Enabled()
+	if len(first) != 1 || len(second) != 1 || first[0].Label != "press" || second[0].Label != "press" ||
+		len(second[0].Edges) != 2 || second[0].Edges[0] != first[0].Edges[0] || second[0].Edges[1] != first[0].Edges[1] {
+		t.Fatalf("enumerations differ: %+v vs %+v", first, second)
+	}
+	if err := ip.Take(second[0]); err != nil || ip.St.Locs[0] != 1 {
+		t.Fatalf("take press: %v, locs %v", err, ip.St.Locs)
+	}
+}
+
 func TestTraceFormatting(t *testing.T) {
 	s, press, beep := beeper()
 	tr := Trace{
