@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"tigatest/internal/game"
@@ -151,13 +152,17 @@ func BenchmarkCampaignPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkExecLoop measures one step-budget-exhausted run of Algorithm
-// 3.1: Smart Light's first lazy-recovered suite entry (edge coverage,
-// compiled decision tables) against the conformant eager implementation,
-// which keeps the closed loop cycling touch? · bright! · touch? · off! …
-// until the 10 000-step budget runs out. Every step consults the
-// strategy, drives the deterministic IUT interpreter and updates the tioco
-// monitor, so allocs/op is the per-step allocation cost times 10 000.
+// BenchmarkExecLoop measures Smart Light's first lazy-recovered suite
+// entry (edge coverage, compiled decision tables) against the conformant
+// eager implementation, which keeps the closed loop cycling touch? ·
+// bright! · touch? · off! … forever. Every step consults the strategy,
+// drives the deterministic IUT interpreter and updates the tioco monitor.
+//
+//   - budget hides the IUT's state key, as a remote IUT does, so the run
+//     plays all 10 000 steps: allocs/op is the per-step allocation cost
+//     times 10 000.
+//   - detected runs the same entry with the key visible: the run ends as
+//     soon as the closed loop repeats.
 func BenchmarkExecLoop(b *testing.B) {
 	sys, env, plant, _, err := models.ByName("smartlight", 0)
 	if err != nil {
@@ -179,13 +184,23 @@ func BenchmarkExecLoop(b *testing.B) {
 		b.Fatal("smartlight plan has no lazy entry")
 	}
 	runner := &Runner{Strategy: entry.consultant(), Exec: opts.Exec}
-	iut := tiots.NewDetIUT(model.ExtractPlant(sys, opts.Plant, "Stub"), tiots.Scale, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := runner.RunOnce(iut)
-		if res.Reason != "step budget exhausted" {
-			b.Fatalf("run ended early: %s", res)
-		}
+	impl := model.ExtractPlant(sys, opts.Plant, "Stub")
+	for _, c := range []struct {
+		name   string
+		iut    tiots.IUT
+		reason string
+	}{
+		{"budget", keylessIUT{tiots.NewDetIUT(impl, tiots.Scale, nil)}, "step budget exhausted"},
+		{"detected", tiots.NewDetIUT(impl, tiots.Scale, nil), "closed loop repeats"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := runner.RunOnce(c.iut)
+				if !strings.HasPrefix(res.Reason, c.reason) {
+					b.Fatalf("run ended %s, want %q", res, c.reason)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,12 +115,36 @@ func readExecGolden(path string) ([]execGoldenLine, error) {
 	return out, sc.Err()
 }
 
-// execGoldenListing plans each campaign once per coverage kind (planning
-// does not depend on the seed) and runs every entry against the union of
-// the IUT rows the three seeds sample, deduplicated by row name.
+// execGoldenListing digests every golden run.
 func execGoldenListing(t *testing.T) []execGoldenLine {
 	t.Helper()
 	var out []execGoldenLine
+	forEachGoldenRun(t, func(g goldenRun) {
+		out = append(out, execGoldenLine{
+			Key:     g.key,
+			Verdict: g.res.Verdict.String(),
+			Steps:   g.res.Steps,
+			Digest:  execDigest(t, g.sys, g.runner.Exec.PlantProcs, tiots.Scale, g.res),
+		})
+	})
+	return out
+}
+
+// goldenRun is one run of the golden listing: a suite entry's runner
+// against one IUT row, and its result.
+type goldenRun struct {
+	key    string
+	sys    *model.System
+	runner *Runner
+	row    *IUTRow
+	res    texec.Result
+}
+
+// forEachGoldenRun plans each campaign once per coverage kind (planning
+// does not depend on the seed) and runs every entry against the union of
+// the IUT rows the three seeds sample, deduplicated by row name.
+func forEachGoldenRun(t *testing.T, visit func(goldenRun)) {
+	t.Helper()
 	for _, mc := range []struct {
 		name string
 		n    int
@@ -155,29 +180,72 @@ func execGoldenListing(t *testing.T) []execGoldenLine {
 					}
 				}
 			}
-			scale := tiots.Scale
 			for _, e := range suite.Entries {
 				runner := &Runner{Strategy: e.consultant(), Exec: base.Exec}
 				for _, r := range rows {
-					iut, closer, err := r.Factory(0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res := runner.RunOnce(iut)
-					if closer != nil {
-						closer()
-					}
-					out = append(out, execGoldenLine{
-						Key:     fmt.Sprintf("%s/%s/entry%d/%s", mc.name, cov, e.Index, r.Name),
-						Verdict: res.Verdict.String(),
-						Steps:   res.Steps,
-						Digest:  execDigest(t, sys, base.Exec.PlantProcs, scale, res),
+					visit(goldenRun{
+						key:    fmt.Sprintf("%s/%s/entry%d/%s", mc.name, cov, e.Index, r.Name),
+						sys:    sys,
+						runner: runner,
+						row:    r,
+						res:    runRow(t, runner, r, nil),
 					})
 				}
 			}
 		}
 	}
-	return out
+}
+
+// runRow runs the runner once against a fresh instance of the row's IUT,
+// passed through wrap when it is non-nil.
+func runRow(t *testing.T, runner *Runner, r *IUTRow, wrap func(tiots.IUT) tiots.IUT) texec.Result {
+	t.Helper()
+	iut, closer, err := r.Factory(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if closer != nil {
+		defer closer()
+	}
+	if wrap != nil {
+		iut = wrap(iut)
+	}
+	return runner.RunOnce(iut)
+}
+
+// keylessIUT exposes only tiots.IUT, as the remote adapter.Client does, so
+// texec.Run cannot key the state and plays to the step budget.
+type keylessIUT struct{ tiots.IUT }
+
+// TestClosedLoopMatchesBudgetRun checks closed-loop detection against the
+// step budget: every golden run that ends "closed loop repeats" is rerun
+// with the IUT's state key hidden. The rerun must exhaust the 10 000-step
+// budget with the same verdict, and the looped run's trace must be a
+// prefix of the rerun's.
+func TestClosedLoopMatchesBudgetRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every campaign cell of three models")
+	}
+	looped := 0
+	forEachGoldenRun(t, func(g goldenRun) {
+		if !strings.HasPrefix(g.res.Reason, "closed loop repeats") {
+			return
+		}
+		looped++
+		full := runRow(t, g.runner, g.row, func(iut tiots.IUT) tiots.IUT { return keylessIUT{iut} })
+		switch {
+		case full.Reason != "step budget exhausted" || full.Steps != 10000:
+			t.Errorf("%s: looped run %s, budget rerun %s", g.key, g.res, full)
+		case full.Verdict != g.res.Verdict:
+			t.Errorf("%s: verdict %s, budget rerun %s", g.key, g.res.Verdict, full.Verdict)
+		case len(g.res.Trace) > len(full.Trace) || !slices.Equal(g.res.Trace, full.Trace[:len(g.res.Trace)]):
+			t.Errorf("%s: looped trace is not a prefix of the budget run's", g.key)
+		}
+	})
+	if looped == 0 {
+		t.Fatal("no golden run ends in a repeating closed loop")
+	}
+	t.Logf("%d looped runs match their budget runs", looped)
 }
 
 // execDigest hashes everything observable about one run.

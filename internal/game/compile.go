@@ -92,31 +92,45 @@ func (st *Strategy) Compile() (*CompiledStrategy, error) {
 }
 
 // buildProbes flattens every row federation into its membership probe (the
-// hot-path representation); run once after rows are in place, by Compile
-// and Decode alike.
+// hot-path representation) and records the tables' largest constant; run
+// once after rows are in place, by Compile and Decode alike.
 func (cs *CompiledStrategy) buildProbes() {
+	flatten := func(f *dbm.Federation) probe {
+		p := makeProbe(f)
+		for _, c := range p.cons {
+			cs.maxConst = max(cs.maxConst, abs(c.b.Value()))
+		}
+		return p
+	}
 	for i := range cs.nodes {
 		n := &cs.nodes[i]
-		n.goalPr = makeProbe(n.goal)
+		n.goalPr = flatten(n.goal)
 		for d := range n.deltas {
-			n.deltas[d].pr = makeProbe(n.deltas[d].fed)
+			n.deltas[d].pr = flatten(n.deltas[d].fed)
 		}
 		for j := range n.succs {
 			sc := &n.succs[j]
+			for _, e := range sc.trans.Edges {
+				for _, c := range e.Guard.Clocks {
+					cs.maxConst = max(cs.maxConst, abs(c.Bound.Value()))
+				}
+			}
 			if !sc.usable {
 				continue
 			}
 			sc.prs = make([]probe, len(sc.regions))
 			for k := range sc.regions {
-				sc.prs[k] = makeProbe(sc.regions[k])
+				sc.prs[k] = flatten(sc.regions[k])
 			}
 		}
 		n.forcedPrs = make([]probe, len(n.forcedRegions))
 		for k := range n.forcedRegions {
-			n.forcedPrs[k] = makeProbe(n.forcedRegions[k])
+			n.forcedPrs[k] = flatten(n.forcedRegions[k])
 		}
 	}
 }
+
+func abs(x int) int { return max(x, -x) }
 
 // levelBound returns a bound with exactly l of the ascending stamps
 // strictly below it: the representative at which the interpreter's

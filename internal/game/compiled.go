@@ -53,6 +53,10 @@ type Consultant interface {
 	MoveAt(id int, val []int64, scale int64, bound int) (Move, error)
 	// FollowTransition resolves the successor after a transition on chanIdx.
 	FollowTransition(id int, chanIdx int, val []int64, scale int64) (*symbolic.Transition, int, error)
+	// MaxConstant bounds the constants the methods above compare a clock
+	// valuation against: the purpose's clock atoms included, so the
+	// model's constants alone may be smaller.
+	MaxConstant() int
 }
 
 // compile-time interface checks: the interpreted and compiled strategies
@@ -286,6 +290,9 @@ type CompiledStrategy struct {
 	coop    bool
 	dim     int
 	nodes   []compiledNode
+	// maxConst is the largest constant of the tables: every probe and
+	// transition guard (see MaxConstant).
+	maxConst int
 
 	// compileDur records the wall-clock Compile spent building the tables
 	// (zero for strategies obtained via Decode); the observability layer's
@@ -313,6 +320,11 @@ func (cs *CompiledStrategy) NumNodes() int { return len(cs.nodes) }
 
 // InitialNode returns the id of the initial symbolic state.
 func (cs *CompiledStrategy) InitialNode() int { return 0 }
+
+// MaxConstant returns the largest constant in the decision tables: the
+// probes and the transition guards are all a consultation compares a
+// valuation against.
+func (cs *CompiledStrategy) MaxConstant() int { return cs.maxConst }
 
 // StampAt returns the stamp at which the scaled valuation entered the
 // node's winning set, or -1 when it is not winning.

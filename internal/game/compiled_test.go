@@ -3,6 +3,7 @@ package game
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tigatest/internal/dbm"
@@ -268,5 +269,29 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Decode(c.st.System(), append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing garbage not rejected")
+	}
+}
+
+// TestMaxConstantMatchesCompiled pins Consultant.MaxConstant: the
+// interpreted strategy reports the largest constant of its compiled
+// tables, a decoded strategy the same, and none is below the extrapolation
+// maxima. Execution clamps the tester's valuation there, so interpreted
+// and compiled runs detect repeating closed loops at the same step.
+func TestMaxConstantMatchesCompiled(t *testing.T) {
+	for _, c := range compiledCases(t) {
+		dec, err := Decode(c.st.System(), c.cs.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.cs.MaxConstant()
+		if got := c.st.MaxConstant(); got != want {
+			t.Errorf("%s: interpreted MaxConstant %d, compiled %d", c.name, got, want)
+		}
+		if got := dec.MaxConstant(); got != want {
+			t.Errorf("%s: decoded MaxConstant %d, compiled %d", c.name, got, want)
+		}
+		if m := slices.Max(c.st.ex.Max); want < m {
+			t.Errorf("%s: MaxConstant %d below the extrapolation maximum %d", c.name, want, m)
+		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"tigatest/internal/dbm"
 	"tigatest/internal/model"
@@ -28,6 +30,10 @@ type Strategy struct {
 	ex      *symbolic.Explorer
 	nodes   []*node
 	coop    bool // cooperative strategy: may rely on plant outputs
+
+	// maxConst caches MaxConstant, computed once under maxOnce.
+	maxOnce  sync.Once
+	maxConst int
 }
 
 // MoveKind classifies strategy decisions.
@@ -111,6 +117,22 @@ func (st *Strategy) NumNodes() int { return len(st.nodes) }
 
 // InitialNode returns the id of the initial symbolic state.
 func (st *Strategy) InitialNode() int { return 0 }
+
+// MaxConstant returns the largest constant of the regions a consultation
+// builds: those of the compiled tables, which the same code derives. The
+// extrapolation maxima alone can be smaller, because subtraction splits
+// zones along derived constraints and a hope's wait reads single zones.
+// The first call compiles the strategy to find it; a strategy that does
+// not compile reports no bound.
+func (st *Strategy) MaxConstant() int {
+	st.maxOnce.Do(func() {
+		st.maxConst = math.MaxInt32
+		if cs, err := st.Compile(); err == nil {
+			st.maxConst = cs.MaxConstant()
+		}
+	})
+	return st.maxConst
+}
 
 // NodeState exposes the symbolic state of a node (for diagnostics).
 func (st *Strategy) NodeState(id int) *symbolic.State { return st.nodes[id].st }

@@ -402,6 +402,30 @@ func (s *System) MaxConstants(extra []ClockConstraint) []int {
 	return max
 }
 
+// ClockBounds returns the largest absolute constant of all clock guards and
+// invariants and the largest clock reset value, in one pass that neither
+// copies nor allocates (it runs once per test run).
+func (s *System) ClockBounds() (maxConst, maxReset int) {
+	note := func(cs []ClockConstraint) {
+		for _, c := range cs {
+			maxConst = max(maxConst, c.Bound.Value(), -c.Bound.Value())
+		}
+	}
+	for _, p := range s.Procs {
+		for li := range p.Locations {
+			note(p.Locations[li].Invariant)
+		}
+		for ei := range p.Edges {
+			e := &p.Edges[ei]
+			note(e.Guard.Clocks)
+			for _, r := range e.Resets {
+				maxReset = max(maxReset, r.Value)
+			}
+		}
+	}
+	return maxConst, maxReset
+}
+
 // Validate performs structural sanity checks.
 func (s *System) Validate() error {
 	if len(s.Procs) == 0 {

@@ -17,6 +17,7 @@
 package texec
 
 import (
+	"bytes"
 	"fmt"
 
 	"tigatest/internal/game"
@@ -53,6 +54,12 @@ type Options struct {
 	// Scale is ticks per model time unit (default tiots.Scale).
 	Scale int64
 	// MaxSteps bounds the number of strategy decisions (default 10000).
+	// A run that exhausts it ends inconclusive "step budget exhausted".
+	// Against an IUT that implements tiots.StateKeyer (every local
+	// DetIUT) a closed loop that repeats ends earlier, inconclusive
+	// "closed loop repeats: period p from step k", the budget run's
+	// verdict with its trace cut after one full period; remote and other
+	// keyless IUTs still play to the budget.
 	MaxSteps int
 	// Cancel, when non-nil, aborts the run cooperatively: Run polls it
 	// before every strategy decision and returns an inconclusive
@@ -97,6 +104,7 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 	val := make([]int64, sys.NumClocks()-1)
 	bound := strat.StampAt(node, val, scale)
 	var trace tiots.Trace
+	loop := newLoopCheck(strat, iut, mon, scale)
 
 	fail := func(reason string, steps int) Result {
 		return Result{Verdict: Fail, Reason: reason, Trace: trace, Steps: steps}
@@ -155,6 +163,9 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 			}
 			return inconclusive("play left the winning region (solver or adapter defect)", steps)
 		}
+		if loop.keyer != nil && loop.repeats(steps, node, bound, val) {
+			return inconclusive(fmt.Sprintf("closed loop repeats: period %d from step %d", steps-loop.at, loop.at), steps)
+		}
 		mv, err := strat.MoveAt(node, val, scale, bound)
 		if err != nil {
 			return inconclusive(err.Error(), steps)
@@ -211,6 +222,83 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 		}
 	}
 	return inconclusive("step budget exhausted", opts.MaxSteps)
+}
+
+// loopCheck finds a closed loop that repeats, by Brent's cycle detection
+// over the state at each decision: the strategy node, the stamp bound, the
+// tester's valuation, the IUT's key and the monitor's. It saves one
+// snapshot at steps 1, 2, 4, 8, … and compares every later decision with
+// it, so a loop entered by step k with period p is found by step
+// 2·max(k, p). The comparison goes cheapest field first and builds the
+// IUT and monitor keys only when node, bound and valuation match, so a
+// steady-state step allocates nothing and costs a few integer compares.
+//
+// Each component abstracts clocks above the largest constant it compares
+// them against (tiots.AppendClockKey): the strategy's own (purpose atoms
+// included), the IUT's system and the specification. Equal states then
+// take the same decisions, see the same outputs at the same instants and
+// get the same monitor verdicts forever, so the run would end "step budget
+// exhausted" and no pass or fail is lost.
+type loopCheck struct {
+	keyer tiots.StateKeyer // nil: the IUT cannot key its state
+	strat game.Consultant
+	mon   *tioco.Monitor
+	scale int64
+	clamp int64 // threshold of the tester's valuation
+	// at is the snapshot's step (-1 before the first), next the step of
+	// the next checkpoint.
+	at, next    int
+	node, bound int
+	val         []int64
+	iutKey      []byte
+	monKey      []byte
+	buf         []byte
+}
+
+// newLoopCheck only records its arguments: runs that end before the first
+// checkpoint pay nothing for it.
+func newLoopCheck(strat game.Consultant, iut tiots.IUT, mon *tioco.Monitor, scale int64) loopCheck {
+	keyer, _ := iut.(tiots.StateKeyer)
+	return loopCheck{keyer: keyer, strat: strat, mon: mon, scale: scale, at: -1, next: 1}
+}
+
+// repeats reports whether the state at decision step equals the snapshot,
+// and saves the state as the new snapshot at a checkpoint.
+func (c *loopCheck) repeats(step, node, bound int, val []int64) bool {
+	if c.at >= 0 && node == c.node && bound == c.bound && tiots.SameClockKey(val, c.val, c.clamp) {
+		c.buf = c.keyer.AppendStateKey(c.buf[:0])
+		if bytes.Equal(c.buf, c.iutKey) {
+			c.buf = c.mon.AppendStateKey(c.buf[:0])
+			if bytes.Equal(c.buf, c.monKey) {
+				return true
+			}
+		}
+	}
+	if step == c.next {
+		if c.at < 0 {
+			c.setup(len(val))
+		}
+		c.at, c.next = step, 2*step
+		c.node, c.bound = node, bound
+		c.val = append(c.val[:0], val...)
+		c.iutKey = c.keyer.AppendStateKey(c.iutKey[:0])
+		c.monKey = c.mon.AppendStateKey(c.monKey[:0])
+	}
+	return false
+}
+
+// setup computes the tester's clamp and allocates the snapshot buffers
+// before the first checkpoint. One array backs the three key buffers,
+// sized for a single-hypothesis key of the specification (locations, a
+// variable allowance, clocks and their differences); a key that outgrows
+// its third moves out on its own.
+func (c *loopCheck) setup(clocks int) {
+	sys := c.strat.System()
+	c.clamp = tiots.ClockClamp(sys, c.strat.MaxConstant(), c.scale)
+	c.val = make([]int64, 0, clocks)
+	size := 8*len(sys.Procs) + 64 + 4*clocks*(clocks+1)
+	keys := make([]byte, 3*size)
+	c.iutKey, c.monKey, c.buf = keys[:0:size], keys[size:size:2*size], keys[2*size:2*size]
 }
 
 // GuessPlantProcs returns the processes that emit on uncontrollable

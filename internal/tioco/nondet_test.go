@@ -198,3 +198,40 @@ func BenchmarkMonitorWide(b *testing.B) {
 		})
 	}
 }
+
+// TestMonitorStateKey pins Monitor.AppendStateKey: the hypothesis list in
+// order, clocks abstracted above the specification's largest constant (1
+// for the chooser, so T = 2 units). Traces that differ only in how far a
+// clock rose past T give equal keys; any difference a guard or invariant
+// could see gives distinct ones.
+func TestMonitorStateKey(t *testing.T) {
+	key := func(delay int64, out bool) string {
+		m, a, _, _ := chooser(t)
+		if err := m.Delay(delay); err != nil {
+			t.Fatal(err)
+		}
+		if out {
+			if err := m.Output(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return string(m.AppendStateKey(nil))
+	}
+	T := 2 * tiots.Scale
+	for _, c := range []struct {
+		name   string
+		a, b   string
+		wantEq bool
+	}{
+		{"both past T", key(T, false), key(5*T, false), true},
+		{"one tick apart below T", key(T-2, false), key(T-1, false), false},
+		{"below and at T", key(T-1, false), key(T, false), false},
+		{"split, kept clock past T", key(T, true), key(3*T, true), true},
+		{"split, kept clock below T", key(tiots.Scale, true), key(3*T, true), false},
+		{"one hypothesis or two", key(T, false), key(T, true), false},
+	} {
+		if eq := c.a == c.b; eq != c.wantEq {
+			t.Errorf("%s: equal keys %v, want %v", c.name, eq, c.wantEq)
+		}
+	}
+}

@@ -29,6 +29,7 @@ import (
 
 	"tigatest/internal/expr"
 	"tigatest/internal/model"
+	"tigatest/internal/tiots"
 )
 
 // Violation describes a conformance violation.
@@ -52,13 +53,18 @@ type state struct {
 
 // appendKey appends s's identity, its locations, variables and clock
 // values, as fixed-width integers. Every hypothesis of one monitor has
-// slices of the same lengths, so equal keys mean equal states.
-func (s *state) appendKey(b []byte) []byte {
+// slices of the same lengths, so equal keys mean equal states. A positive
+// clamp abstracts the clocks at that threshold (tiots.AppendClockKey);
+// equal keys then mean states that behave alike from now on.
+func (s *state) appendKey(b []byte, clamp int64) []byte {
 	for _, l := range s.locs {
 		b = binary.LittleEndian.AppendUint64(b, uint64(l))
 	}
 	for _, v := range s.vars {
 		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	if clamp > 0 {
+		return tiots.AppendClockKey(b, s.val, clamp)
 	}
 	for _, v := range s.val {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
@@ -93,6 +99,9 @@ type Monitor struct {
 	// hypotheses kept so far, and the key being built.
 	seen map[string]bool
 	key  []byte
+	// clamp is AppendStateKey's clock threshold, computed on its first
+	// call (0 until then).
+	clamp int64
 }
 
 // NewMonitor builds a monitor for the plant processes of the specification.
@@ -345,7 +354,7 @@ func (m *Monitor) commit(next []*state) {
 		clear(m.seen)
 		kept := next[:0]
 		for _, s := range next {
-			m.key = s.appendKey(m.key[:0])
+			m.key = s.appendKey(m.key[:0], 0)
 			if m.seen[string(m.key)] {
 				if !s.prev {
 					m.free = append(m.free, s) // a fresh successor; previous states are recycled below
@@ -370,6 +379,21 @@ func (m *Monitor) commit(next []*state) {
 		s.kept = false
 	}
 	m.spare, m.states = m.states[:0], next
+}
+
+// AppendStateKey appends the hypothesis list, in order, with clocks
+// abstracted above the specification's largest constant: two monitors with
+// equal keys give the same verdict on every continuation of the trace.
+// Only the rendered trace of a violation message is left out.
+func (m *Monitor) AppendStateKey(b []byte) []byte {
+	if m.clamp == 0 {
+		m.clamp = tiots.SystemClamp(m.sys, m.scale)
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(m.states)))
+	for _, s := range m.states {
+		b = s.appendKey(b, m.clamp)
+	}
+	return b
 }
 
 // AllowedOutputs lists the outputs the specification currently allows

@@ -21,6 +21,7 @@
 package tiots
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -377,6 +378,19 @@ func (p *DetPolicy) decisionFor(t EnabledTransition) (dec OutputDecision, explic
 	return OutputDecision{Enabled: true}, false
 }
 
+// maxOffset returns the largest explicit Offset: the only constant window
+// ages are compared against (implicit decisions fire at offset 0, lazy ones
+// ignore ages).
+func (p *DetPolicy) maxOffset() int64 {
+	var m int64
+	if p != nil {
+		for _, d := range p.ByEdge {
+			m = max(m, d.Offset)
+		}
+	}
+	return m
+}
+
 // LazyPolicy returns the canonical lazy-but-conformant determinization:
 // every output fires at the close of its enabled window.
 func LazyPolicy() *DetPolicy { return &DetPolicy{Lazy: true} }
@@ -408,6 +422,76 @@ type Output struct {
 	After int64 // ticks after the Advance call started
 }
 
+// StateKeyer is implemented by deterministic IUTs whose whole future — every
+// output and its timing, for any sequence of inputs and delays — is a
+// function of a finite key of their current state. texec.Run uses it to
+// stop a closed loop that repeats; an IUT without it (adapter.Client, any
+// randomized host) is played until the step budget.
+type StateKeyer interface {
+	// AppendStateKey appends the key of the current state to b: two states
+	// with equal keys behave identically from now on.
+	AppendStateKey(b []byte) []byte
+}
+
+// ClockClamp returns the key threshold T = (m+r+1)·scale for valuations
+// that are only compared against constants up to m and only reset by
+// sys's transitions, r being sys's largest clock reset value (0 in almost
+// every model). Under AppendClockKey's abstraction at T, two valuations
+// with equal keys satisfy the same constraints now and after any common
+// delay or reset: a clock at or above T stays above every constant it is
+// compared with, and a reset clock's difference with it stays below -m.
+func ClockClamp(sys *model.System, m int, scale int64) int64 {
+	_, r := sys.ClockBounds()
+	return int64(m+r+1) * scale
+}
+
+// SystemClamp is ClockClamp at sys's own largest constant: the threshold
+// for an interpreter of sys, whose guards and invariants are all it
+// compares clocks against.
+func SystemClamp(sys *model.System, scale int64) int64 {
+	m, r := sys.ClockBounds()
+	return int64(m+r+1) * scale
+}
+
+// AppendClockKey appends the valuation abstracted at threshold t: each
+// clock as min(v, t), then each pairwise difference clamped to [-t, t].
+// Diagonal constraints see the differences, so they are part of the key
+// even when both clocks are clamped.
+func AppendClockKey(b []byte, val []int64, t int64) []byte {
+	for _, v := range val {
+		b = binary.LittleEndian.AppendUint64(b, uint64(min(v, t)))
+	}
+	for i := range val {
+		for j := i + 1; j < len(val); j++ {
+			b = binary.LittleEndian.AppendUint64(b, uint64(min(max(val[i]-val[j], -t), t)))
+		}
+	}
+	return b
+}
+
+// SameClockKey reports whether AppendClockKey appends the same key for the
+// equally long valuations a and b, without building either key. A
+// difference is compared only when one of its clocks is clamped: below t
+// the clocks are equal, and so is their difference.
+func SameClockKey(a, b []int64, t int64) bool {
+	for i := range a {
+		if min(a[i], t) != min(b[i], t) {
+			return false
+		}
+	}
+	for i := range a {
+		for j := i + 1; j < len(a); j++ {
+			if a[i] < t && a[j] < t {
+				continue
+			}
+			if min(max(a[i]-a[j], -t), t) != min(max(b[i]-b[j], -t), t) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Seeder is implemented by randomized IUTs that accept a per-run rng
 // seed (campaign repeats derive one per run; the adapter forwards it
 // over the wire). Deterministic implementations simply don't implement
@@ -428,7 +512,12 @@ type DetIUT struct {
 	windows, spareWindows map[sigKey]int64
 	// enabledBuf is the reused backing array of enabled().
 	enabledBuf []EnabledTransition
+	// clockClamp and ageClamp are AppendStateKey's thresholds, computed on
+	// its first call (clockClamp 0 until then).
+	clockClamp, ageClamp int64
 }
+
+var _ StateKeyer = (*DetIUT)(nil)
 
 // NewDetIUT builds a deterministic implementation from a network (usually
 // the plant part of a specification, or a mutated copy).
@@ -664,6 +753,57 @@ func (d *DetIUT) guardOpensIn(cs []model.ClockConstraint) (int64, bool) {
 		}
 	}
 	return lo, true
+}
+
+// AppendStateKey implements StateKeyer. The key holds the locations, the
+// variables, the clocks abstracted at the system's own threshold (a mutant
+// may widen a constant, so the specification's would not do) and the
+// window ages clamped at the policy's largest explicit Offset. Under the
+// default and lazy policies that clamp is 0, ages never matter and the
+// windows drop out of the key. Otherwise every enabled output window keys
+// its clamped age, or -1 before its first refresh (it then starts aging
+// one step later than a present window of age 0).
+func (d *DetIUT) AppendStateKey(b []byte) []byte {
+	if d.clockClamp == 0 {
+		d.clockClamp = SystemClamp(d.ip.Sys, d.ip.Scale)
+		d.ageClamp = d.policy.maxOffset()
+	}
+	st := d.ip.St
+	for _, l := range st.Locs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(l))
+	}
+	for _, v := range st.Vars {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	b = AppendClockKey(b, st.Val, d.clockClamp)
+	if d.ageClamp == 0 {
+		return b
+	}
+	present := 0
+	for _, t := range d.enabled() {
+		if t.Kind != model.Uncontrollable {
+			continue
+		}
+		age, ok := d.windows[sigOf(t)]
+		if ok {
+			present++
+			age = min(age, d.ageClamp)
+		} else {
+			age = -1
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(age))
+	}
+	if present < len(d.windows) {
+		// A failed Take left windows of a state no longer current; they
+		// still age, so key the whole table. Map order varies between
+		// calls, which can only hide a repeat, never invent one.
+		for k, age := range d.windows {
+			for _, v := range [...]int64{int64(k.ch), int64(k.e0), int64(k.e1), min(age, d.ageClamp)} {
+				b = binary.LittleEndian.AppendUint64(b, uint64(v))
+			}
+		}
+	}
+	return b
 }
 
 // stepTime advances the interpreter clock and the enabled-window ages.
