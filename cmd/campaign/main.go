@@ -93,17 +93,16 @@ func main() {
 	}
 
 	rep, err := campaign.Run(sys, env, campaign.Options{
-		Coverage:           cov,
-		Plant:              plant,
-		Mutants:            *mutants,
-		Workers:            *workers,
-		Repeats:            *repeats,
-		Seed:               *seed,
-		Solver:             game.Options{Workers: *solvWorkers, Cancel: cancel},
-		RemoteAddr:         *connect,
-		DisableSharedCore:  !*sharedCore,
-		DisableCompile:     !*compile,
-		DisableIncremental: !*incremental,
+		Coverage:          cov,
+		Plant:             plant,
+		Mutants:           *mutants,
+		Workers:           *workers,
+		Repeats:           *repeats,
+		Seed:              *seed,
+		Solver:            game.Options{Workers: *solvWorkers, Cancel: cancel, DisableIncremental: !*incremental},
+		RemoteAddr:        *connect,
+		DisableSharedCore: !*sharedCore,
+		DisableCompile:    !*compile,
 	})
 	if err != nil {
 		if errors.Is(err, game.ErrCanceled) {

@@ -6,8 +6,8 @@
 // and the backward fixpoint re-runs only from the dirty components. The
 // verdict — which purposes the mutant loses, and the analysis graph sizes —
 // is deterministic (identical for every worker count and for the
-// DisableIncremental ablation, which re-explores the same merged-maxima
-// graph cold), so it lives in the canonical report.
+// game.Options.DisableIncremental ablation, which re-explores the same
+// merged-maxima graph cold), so it lives in the canonical report.
 
 package campaign
 

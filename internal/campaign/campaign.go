@@ -100,14 +100,6 @@ type Options struct {
 	// the service layer to route campaign planning through its
 	// content-addressed strategy cache.
 	SolveVia func(key SolveKey, solve func() (*game.Result, error)) (*game.Result, error)
-	// DisableIncremental solves every mutant-analysis purpose on a freshly
-	// explored merged-maxima skeleton of the mutant instead of replaying
-	// the shared core's clean states and re-exploring only the dirty cone
-	// (game.Batch.SolveDelta). Both paths compute the same fixpoint on the
-	// same graph, so the report is byte-identical either way — only
-	// analysis time changes. Exists for the E10 ablation and as an escape
-	// hatch; it is forwarded to Solver.DisableIncremental.
-	DisableIncremental bool
 	// DisableCompile executes every run through the interpreted
 	// Strategy.MoveAt instead of the compiled decision tables (ablation
 	// E8). Compilation is decision-equivalent, so the report is
@@ -147,9 +139,6 @@ func (o *Options) withDefaults(sys *model.System) Options {
 	}
 	if opts.Repeats <= 0 {
 		opts.Repeats = 1
-	}
-	if opts.DisableIncremental {
-		opts.Solver.DisableIncremental = true
 	}
 	if len(opts.Exec.PlantProcs) == 0 {
 		opts.Exec.PlantProcs = opts.Plant

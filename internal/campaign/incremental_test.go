@@ -38,13 +38,12 @@ func TestIncrementalSolveMatchesCold(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			run := func(disable bool) (*Report, []byte) {
 				opts := Options{
-					Coverage:           CoverEdges,
-					Plant:              plant,
-					Mutants:            tc.mutants,
-					Workers:            workers,
-					Seed:               1,
-					Solver:             game.Options{Workers: workers},
-					DisableIncremental: disable,
+					Coverage: CoverEdges,
+					Plant:    plant,
+					Mutants:  tc.mutants,
+					Workers:  workers,
+					Seed:     1,
+					Solver:   game.Options{Workers: workers, DisableIncremental: disable},
 				}
 				rep, err := Run(sys, env, opts)
 				if err != nil {

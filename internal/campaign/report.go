@@ -80,8 +80,8 @@ type RowReport struct {
 	Cells    []CellReport `json:"cells"`
 	// Analysis is the incremental re-solve verdict of a mutant row (nil
 	// for the conformant, lazy and remote rows). Deterministic — identical
-	// for every worker count and for the DisableIncremental ablation — so
-	// it is part of the canonical report.
+	// for every worker count and for the game.Options.DisableIncremental
+	// ablation — so it is part of the canonical report.
 	Analysis *RowAnalysis `json:"analysis,omitempty"`
 }
 

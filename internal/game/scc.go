@@ -422,22 +422,15 @@ func (c *condensation) link(deg func(u int) int, succ func(u, i int) int, prev *
 // become singleton sink components, which is harmless: they hold no winning
 // zones until explored.
 //
-// Nodes and edges are only ever added, so while the node and transition
-// counts are unchanged since the last call the graph is byte-for-byte the
-// same and the previous condensation is returned as-is (counted in
-// Stats.CondensationReuses). When the graph HAS grown, the previous
-// condensation is updated incrementally from the edge log the solver keeps
-// (condEdits: edges appended to nodes that predate the last condensation —
-// the frontier explored since), recomputing only the cone of influence of
-// the new edges instead of re-running Tarjan over the whole graph (counted
-// in Stats.CondensationIncrementals; disabled by Options.DisableIncremental,
-// the E10 ablation).
+// Nodes and edges are only ever added, so after the first call the
+// previous condensation is updated incrementally from the edge log the
+// solver keeps (condEdits: edges appended to nodes that predate the last
+// condensation — the frontier explored since), recomputing only the cone
+// of influence of the new edges instead of re-running Tarjan over the
+// whole graph (counted in Stats.CondensationIncrementals; disabled by
+// Options.DisableIncremental, the E10 ablation).
 func (s *solver) condense() *condensation {
 	n := len(s.nodes)
-	if s.lastCond != nil && s.lastCondNodes == n && s.lastCondTrans == s.stats.Transitions {
-		s.stats.CondensationReuses++
-		return s.lastCond
-	}
 	defer func(t0 time.Time) { s.stats.CondenseDuration += time.Since(t0) }(time.Now())
 	deg := func(u int) int { return len(s.nodes[u].succs) }
 	succ := func(u, i int) int { return s.nodes[u].succs[i].target }
@@ -451,7 +444,7 @@ func (s *solver) condense() *condensation {
 		c.link(deg, succ, nil, nil, nil)
 	}
 	s.condEdits = s.condEdits[:0]
-	s.lastCond, s.lastCondNodes, s.lastCondTrans = c, n, s.stats.Transitions
+	s.lastCond, s.lastCondNodes = c, n
 	return c
 }
 

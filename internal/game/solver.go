@@ -146,7 +146,6 @@ type Stats struct {
 	SCCs                     int // components in the last condensation of the graph
 	PropagationRounds        int // SCC propagation passes run
 	CrossSCCMessages         int // reschedules that crossed a component boundary
-	CondensationReuses       int // propagation passes that reused the previous condensation
 	CondensationIncrementals int // condensations updated in place from the edge log
 
 	// Batch counters (zero outside game.Batch solving): whether this solve
@@ -272,14 +271,11 @@ type solver struct {
 	safety         bool            // solving the safety dual (win federations hold LOSING sets)
 	noGoal         *dbm.Federation // the empty goal shared by every node φ misses
 
-	// Condensation cache: condense() reuses lastCond while the graph shape
-	// (node and transition counts; nodes and edges are only ever added) is
-	// unchanged since it was computed, and updates it incrementally from
-	// condEdits — the edges appended to pre-condensation nodes since — when
-	// the graph has grown (see scc.go).
+	// Condensation cache: condense() updates lastCond incrementally from
+	// condEdits — the edges appended to pre-condensation nodes since it was
+	// computed (see scc.go).
 	lastCond      *condensation
 	lastCondNodes int
-	lastCondTrans int
 	condEdits     [][2]int32
 
 	exploreQ []int

@@ -6,23 +6,31 @@
 // signature and canonical rendering, and the game mode — so equal requests
 // hit regardless of which session, connection or spelling produced them.
 // Singleflight collapses the thundering herd: N simultaneous requests for
-// one key run exactly one solve; the other N-1 block on the entry's ready
-// channel and are counted as (joined) hits. Failed solves (budget, bad
-// purpose against this model) are not cached, so transient failures do not
-// poison the key.
+// one key run exactly one fetch; the other N-1 block on the entry's ready
+// channel and are counted as (joined) hits. Failed fetches (budget, bad
+// purpose against this model, an unreachable peer) are not cached, so
+// transient failures do not poison the key.
 //
-// Deadline semantics: every solve runs on its own goroutine so requesters
+// One type serves both tiers of a daemon: flight[cacheKey, *game.Result]
+// for local solves, and — on a clustered daemon — flight[peerKey,
+// *peerResult] for strategies fetched from the owning peer (cluster.go).
+//
+// Deadline semantics: every fetch runs on its own goroutine so requesters
 // can withdraw independently (get's done channel — the request deadline).
 // The entry refcounts its waiters; when the LAST waiter withdraws, the
-// entry's cancel channel closes and the solver aborts cooperatively
-// (game.ErrCanceled). A solve that still has waiters keeps running — the
+// entry's cancel channel closes and a solve aborts cooperatively
+// (game.ErrCanceled). A fetch that still has waiters keeps running — the
 // longest-surviving waiter's deadline governs it, so a leader hitting its
 // deadline hands the solve off rather than killing it under a joiner.
-// Canceled (and otherwise failed) solves are evicted before their ready
-// channel closes, so the next requester always retries fresh: a cancel can
-// never poison the key. A panicking solve is recovered into an error
-// (counted in panics), evicted like any failure, and never kills the
-// daemon.
+// Once every waiter has withdrawn the entry is doomed: the next requester
+// starts a fresh fetch in its place instead of joining. Canceled (and
+// otherwise failed) fetches are evicted before their ready channel closes,
+// identity-checked so a doomed entry never evicts its replacement: a
+// cancel can never poison the key. A fetch that ignores its cancel channel
+// (the peer tier's forward, bounded by its own timeout) and succeeds after
+// all its waiters left still warms the key, unless a fresh fetch replaced
+// it first. A panicking fetch is recovered into an error (counted in
+// panics), evicted like any failure, and never kills the daemon.
 
 package service
 
@@ -52,12 +60,12 @@ type cacheKey struct {
 	edits   uint64 // model.EditSet.Hash of a mutant-analysis solve; 0 otherwise
 }
 
-// cacheEntry is one cache slot; ready closes when res/err are final.
+// flightEntry is one cache slot; ready closes when res/err are final.
 // waiters counts the requests currently blocked on ready; the last one to
-// withdraw sets canceled and closes cancel, aborting the in-flight solve.
-type cacheEntry struct {
+// withdraw sets canceled and closes cancel, aborting the in-flight fetch.
+type flightEntry[V any] struct {
 	ready chan struct{}
-	res   *game.Result
+	res   V
 	err   error
 
 	mu       sync.Mutex
@@ -66,43 +74,36 @@ type cacheEntry struct {
 	cancel   chan struct{}
 }
 
-// strategyCache is the concurrent cache. Counters are atomics so the stats
-// endpoint reads them without taking the map lock.
-type strategyCache struct {
+// flight is the concurrent singleflight cache. Counters are atomics so the
+// stats endpoint reads them without taking the map lock.
+type flight[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
+	entries map[K]*flightEntry[V]
 
-	hits     atomic.Int64 // served without starting a solve
-	misses   atomic.Int64 // solves started
-	joined   atomic.Int64 // hits that waited on an in-flight solve
-	inflight atomic.Int64 // solves currently running
+	hits     atomic.Int64 // served without starting a fetch
+	misses   atomic.Int64 // fetches started
+	joined   atomic.Int64 // hits that waited on an in-flight fetch
+	inflight atomic.Int64 // fetches currently running
 	canceled atomic.Int64 // solves aborted because every waiter withdrew
-	panics   atomic.Int64 // solve panics recovered into errors
-
-	// Compiled-strategy telemetry. Cached results carry their compiled
-	// decision tables (built once per Result, shared by every consumer), so
-	// these count consumption, not storage: compiledHits is the number of
-	// requests served through a compiled strategy (run executions and
-	// strategy-encoding fetches), compiledBytes the total canonical wire
-	// bytes shipped to clients by the strategy op.
-	compiledHits  atomic.Int64
-	compiledBytes atomic.Int64
+	panics   atomic.Int64 // fetch panics recovered into errors
 }
 
-func newStrategyCache() *strategyCache {
-	return &strategyCache{entries: map[cacheKey]*cacheEntry{}}
+func newFlight[K comparable, V any]() *flight[K, V] {
+	return &flight[K, V]{entries: map[K]*flightEntry[V]{}}
 }
 
-// get returns the cached result for key, running solve at most once per
+// get returns the cached value for key, running fetch at most once per
 // key across any number of concurrent callers. done, when non-nil, is the
 // caller's withdrawal signal (the request deadline): once it closes, get
-// returns ErrDeadline immediately — the solve itself keeps running as long
-// as any other waiter remains, and is canceled (via the cancel channel
-// handed to solve) when the last one withdraws. note, when non-nil, is
-// told this caller's lookup outcome ("hit", "join" or "miss") the moment
-// it is decided — purely observational (the service layer's trace spans).
+// returns the bare ErrDeadline immediately — the fetch itself keeps
+// running as long as any other waiter remains, and is canceled (via the
+// cancel channel handed to fetch) when the last one withdraws. Errors of
+// fetch itself are returned as they are. note, when non-nil, is told this
+// caller's lookup outcome ("hit", "join" or "miss") the moment it is
+// decided — purely observational (the service layer's trace spans).
 // Lock order: c.mu before e.mu, never the reverse.
-func (c *strategyCache) get(key cacheKey, done <-chan struct{}, solve func(cancel <-chan struct{}) (*game.Result, error), note func(outcome string)) (*game.Result, error) {
+func (c *flight[K, V]) get(key K, done <-chan struct{}, fetch func(cancel <-chan struct{}) (V, error), note func(outcome string)) (V, error) {
+	var zero V
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -119,7 +120,7 @@ func (c *strategyCache) get(key cacheKey, done <-chan struct{}, solve func(cance
 			}
 			e.mu.Lock()
 			if !e.canceled {
-				// Join the in-flight solve. Registering under e.mu means the
+				// Join the in-flight fetch. Registering under e.mu means the
 				// last-waiter accounting can never miss us: a concurrent
 				// withdrawal either sees our registration or completes first
 				// (and then canceled is set and we take the branch below).
@@ -133,7 +134,7 @@ func (c *strategyCache) get(key cacheKey, done <-chan struct{}, solve func(cance
 				}
 				res, err, withdrawn := c.await(e, done)
 				if withdrawn {
-					return nil, ErrDeadline
+					return zero, ErrDeadline
 				}
 				if err != nil && errors.Is(err, game.ErrCanceled) {
 					// The solve lost its last waiter in the window before our
@@ -143,12 +144,13 @@ func (c *strategyCache) get(key cacheKey, done <-chan struct{}, solve func(cance
 				}
 				return res, err
 			}
-			// Doomed entry: the solve is being canceled but has not finished
-			// aborting yet. Replace it — its settle() deletes only its own
-			// identity, so the fresh entry is safe in the map.
+			// Doomed entry: every waiter withdrew, so its fetch is being
+			// canceled (or, ignoring the cancel, runs on unattended).
+			// Replace it — its settle() deletes only its own identity, so
+			// the fresh entry is safe in the map.
 			e.mu.Unlock()
 		}
-		e := &cacheEntry{ready: make(chan struct{}), cancel: make(chan struct{}), waiters: 1}
+		e := &flightEntry[V]{ready: make(chan struct{}), cancel: make(chan struct{}), waiters: 1}
 		c.entries[key] = e
 		c.misses.Add(1)
 		c.inflight.Add(1)
@@ -156,10 +158,10 @@ func (c *strategyCache) get(key cacheKey, done <-chan struct{}, solve func(cance
 		if note != nil {
 			note("miss")
 		}
-		go c.runSolve(key, e, solve)
+		go c.run(key, e, fetch)
 		res, err, withdrawn := c.await(e, done)
 		if withdrawn {
-			return nil, ErrDeadline
+			return zero, ErrDeadline
 		}
 		return res, err
 	}
@@ -168,8 +170,8 @@ func (c *strategyCache) get(key cacheKey, done <-chan struct{}, solve func(cance
 // await blocks until the entry resolves or the caller withdraws (done
 // closed, checked only after a completion re-check so a ready result always
 // wins the race). withdrawn reports the latter; the last withdrawal cancels
-// the in-flight solve.
-func (c *strategyCache) await(e *cacheEntry, done <-chan struct{}) (res *game.Result, err error, withdrawn bool) {
+// the in-flight fetch.
+func (c *flight[K, V]) await(e *flightEntry[V], done <-chan struct{}) (res V, err error, withdrawn bool) {
 	if done == nil {
 		<-e.ready
 		return e.res, e.err, false
@@ -197,30 +199,31 @@ func (c *strategyCache) await(e *cacheEntry, done <-chan struct{}) (res *game.Re
 		close(e.cancel)
 	}
 	e.mu.Unlock()
-	return nil, nil, true
+	return res, nil, true
 }
 
-// runSolve runs one solve on its own goroutine (so waiters can withdraw
+// run runs one fetch on its own goroutine (so waiters can withdraw
 // independently of it) and settles the entry. Panics are recovered into an
-// error result: a malformed model or a solver bug must cost one request,
-// never the daemon.
-func (c *strategyCache) runSolve(key cacheKey, e *cacheEntry, solve func(cancel <-chan struct{}) (*game.Result, error)) {
+// error result: a malformed model, a solver bug or a bad peer payload must
+// cost one request, never the daemon.
+func (c *flight[K, V]) run(key K, e *flightEntry[V], fetch func(cancel <-chan struct{}) (V, error)) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.panics.Add(1)
-			e.res, e.err = nil, fmt.Errorf("solve panicked: %v", r)
+			var zero V
+			e.res, e.err = zero, fmt.Errorf("solve panicked: %v", r)
 			c.settle(key, e)
 		}
 	}()
-	e.res, e.err = solve(e.cancel)
+	e.res, e.err = fetch(e.cancel)
 	c.settle(key, e)
 }
 
-// settle publishes the outcome: failed solves — canceled ones included —
+// settle publishes the outcome: failed fetches — canceled ones included —
 // are evicted before ready closes, so no requester can ever observe a
 // poisoned completed entry; the eviction is identity-checked because a
 // doomed entry may already have been replaced by a fresh one.
-func (c *strategyCache) settle(key cacheKey, e *cacheEntry) {
+func (c *flight[K, V]) settle(key K, e *flightEntry[V]) {
 	if e.err != nil {
 		if errors.Is(e.err, game.ErrCanceled) {
 			c.canceled.Add(1)
@@ -236,21 +239,20 @@ func (c *strategyCache) settle(key cacheKey, e *cacheEntry) {
 }
 
 // size returns the number of completed-or-inflight entries.
-func (c *strategyCache) size() int {
+func (c *flight[K, V]) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-func (c *strategyCache) stats() CacheStats {
+// stats reports the cache counters; the compiled-strategy consumption
+// counters are the Service's and left zero here.
+func (c *flight[K, V]) stats() CacheStats {
 	return CacheStats{
 		Entries:  c.size(),
 		Hits:     c.hits.Load(),
 		Misses:   c.misses.Load(),
 		Joined:   c.joined.Load(),
 		Inflight: c.inflight.Load(),
-
-		CompiledHits:  c.compiledHits.Load(),
-		CompiledBytes: c.compiledBytes.Load(),
 	}
 }

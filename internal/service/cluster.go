@@ -38,12 +38,6 @@ import (
 	"tigatest/internal/tctl"
 )
 
-// errFwdWithdrawn reports that the requester's deadline expired while it
-// waited on a peer forward — the request answers "deadline" like a
-// withdrawn local solve, distinct from a forward failure (which falls
-// back to a local solve instead).
-var errFwdWithdrawn = errors.New("service: withdrawn from peer forward")
-
 // ClusterOptions wire a Service into a fleet. Enable with
 // Service.EnableCluster before serving traffic.
 type ClusterOptions struct {
@@ -69,7 +63,10 @@ type clusterState struct {
 	ringVer uint64
 	links   map[string]*peerLink // by owner addr
 
-	tier2 *peerCache
+	// tier2 is the second-tier cache: strategies fetched from owning
+	// peers, keyed like the first tier (minus the campaign edge — peer
+	// forwards carry only parseable purposes).
+	tier2 *flight[peerKey, *peerResult]
 
 	peerHits     atomic.Int64 // requests served with peer-fetched material
 	forwards     atomic.Int64 // peer_strategy round-trips attempted
@@ -96,7 +93,7 @@ func (s *Service) EnableCluster(opts ClusterOptions) error {
 	s.cl = &clusterState{
 		opts:  opts,
 		links: map[string]*peerLink{},
-		tier2: newPeerCache(),
+		tier2: newFlight[peerKey, *peerResult](),
 	}
 	// The ring is rebuilt on first use (version 0 never matches ^0).
 	s.cl.ringVer = ^uint64(0)
@@ -231,99 +228,11 @@ type peerResult struct {
 	enc  []byte
 }
 
-// peerCache is the second-tier cache: strategies fetched from owning
-// peers, keyed like the first-tier cache (minus the campaign edge — peer
-// forwards carry only parseable purposes). Successful fetches are
-// retained; failures are evicted before publication so a flaky owner can
-// never poison a key. Concurrent requests for one key singleflight into
-// one forward.
-type peerCache struct {
-	mu      sync.Mutex
-	entries map[peerKey]*peerEntry
-}
-
 type peerKey struct {
 	model   uint64
 	sig     string
 	purpose string
 	mode    string
-}
-
-type peerEntry struct {
-	ready chan struct{}
-	res   *peerResult
-	err   error
-}
-
-func newPeerCache() *peerCache {
-	return &peerCache{entries: map[peerKey]*peerEntry{}}
-}
-
-// size returns the number of retained-or-inflight peer entries.
-func (pc *peerCache) size() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.entries)
-}
-
-// do returns the peer-fetched strategy for key, running fetch at most
-// once per key across concurrent callers. done, when non-nil, withdraws
-// this caller (errFwdWithdrawn) without aborting the fetch — it is
-// bounded by the forward timeout and its result still warms the tier for
-// the next request.
-func (pc *peerCache) do(key peerKey, done <-chan struct{}, fetch func() (*peerResult, error)) (*peerResult, error) {
-	pc.mu.Lock()
-	e, ok := pc.entries[key]
-	if !ok {
-		e = &peerEntry{ready: make(chan struct{})}
-		pc.entries[key] = e
-		pc.mu.Unlock()
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.err = fmt.Errorf("peer fetch panicked: %v", r)
-					pc.settle(key, e)
-				}
-			}()
-			e.res, e.err = fetch()
-			pc.settle(key, e)
-		}()
-	} else {
-		pc.mu.Unlock()
-	}
-	if done == nil {
-		<-e.ready
-		return e.res, e.err
-	}
-	select {
-	case <-e.ready:
-		return e.res, e.err
-	default:
-	}
-	select {
-	case <-e.ready:
-		return e.res, e.err
-	case <-done:
-	}
-	select {
-	case <-e.ready: // completion raced the deadline; take the result
-		return e.res, e.err
-	default:
-	}
-	return nil, errFwdWithdrawn
-}
-
-// settle publishes a fetch outcome, evicting failures first (identity-
-// checked: a failed entry may already have been replaced).
-func (pc *peerCache) settle(key peerKey, e *peerEntry) {
-	if e.err != nil {
-		pc.mu.Lock()
-		if pc.entries[key] == e {
-			delete(pc.entries, key)
-		}
-		pc.mu.Unlock()
-	}
-	close(e.ready)
 }
 
 // clusterResolve is the clustered strategy-resolution path: local when
@@ -340,14 +249,18 @@ func (s *Service) clusterResolve(me *modelEntry, f *tctl.Formula, sig string, re
 		return s.localResolve(me, f, sig, req, done)
 	}
 	pk := peerKey{model: me.hash, sig: sig, purpose: purpose, mode: mode}
-	pr, err := s.cl.tier2.do(pk, done, func() (*peerResult, error) {
+	// The forward ignores the cancel channel: it is bounded by the forward
+	// timeout, and its result still warms the tier for the next request.
+	pr, err := s.cl.tier2.get(pk, done, func(<-chan struct{}) (*peerResult, error) {
 		return s.forwardStrategy(owner, me, req, purpose, mode)
-	})
+	}, nil)
 	if err == nil {
 		s.cl.peerHits.Add(1)
 		return &resolved{me: me, info: pr.info, cs: pr.cs, enc: pr.enc}, nil
 	}
-	if errors.Is(err, errFwdWithdrawn) {
+	// Only the requester's own withdrawal is the bare ErrDeadline; an
+	// owner's deadline answer arrives wrapped and falls back below.
+	if err == ErrDeadline {
 		return nil, solveErrResp(fmt.Errorf("%w: during peer forward", ErrDeadline))
 	}
 	// Owner down, draining, slow, or serving a bad payload: degrade to a
@@ -366,7 +279,7 @@ func (s *Service) clusterResolve(me *modelEntry, f *tctl.Formula, sig string, re
 //
 // req is the originating client request: its stamped trace context rides
 // the outbound forward, so the owner's spans join the forwarder's trace.
-// The fetch is singleflighted (peerCache.do), so the forward span and the
+// The fetch is singleflighted (tier2.get), so the forward span and the
 // RTT observation belong to the request that started the forward; joiners
 // ride along untraced.
 func (s *Service) forwardStrategy(owner cluster.Member, me *modelEntry, req *Request, purpose, mode string) (pr *peerResult, retErr error) {

@@ -308,7 +308,7 @@ func TestFleetDrainRefusesForwardsTyped(t *testing.T) {
 
 	// Evict the warmed tier-2 entry so the next request forwards again.
 	fwd.cl.tier2.mu.Lock()
-	fwd.cl.tier2.entries = map[peerKey]*peerEntry{}
+	fwd.cl.tier2.entries = map[peerKey]*flightEntry[*peerResult]{}
 	fwd.cl.tier2.mu.Unlock()
 
 	if _, err := c.Synthesize("smartlight", models.SmartLightGoal, ""); err != nil {

@@ -40,7 +40,7 @@ func waitCounter(t *testing.T, c *atomic.Int64, want int64) {
 // the in-flight solve to a joined waiter instead of killing it — the solve
 // is canceled only when the LAST waiter withdraws.
 func TestCacheSurvivorDeadlineHandoff(t *testing.T) {
-	c := newStrategyCache()
+	c := newFlight[cacheKey, *game.Result]()
 	key := testKey("handoff")
 	started := make(chan struct{})
 	gate := make(chan struct{})
@@ -111,7 +111,7 @@ func TestCacheSurvivorDeadlineHandoff(t *testing.T) {
 // solve is canceled, the entry evicted, and the next requester runs a
 // brand-new solve — a cancel can never poison the key.
 func TestCacheCancelEvictsAndRetriesFresh(t *testing.T) {
-	c := newStrategyCache()
+	c := newFlight[cacheKey, *game.Result]()
 	key := testKey("evict")
 	started := make(chan struct{})
 	done := make(chan struct{})
@@ -148,7 +148,7 @@ func TestCacheCancelEvictsAndRetriesFresh(t *testing.T) {
 // TestCachePanicRecovered: a panicking solve costs its requester one error
 // response, is counted, evicted, and the key stays retryable.
 func TestCachePanicRecovered(t *testing.T) {
-	c := newStrategyCache()
+	c := newFlight[cacheKey, *game.Result]()
 	key := testKey("panic")
 	_, err := c.get(key, nil, func(<-chan struct{}) (*game.Result, error) {
 		panic("boom")
@@ -167,6 +167,116 @@ func TestCachePanicRecovered(t *testing.T) {
 	}, nil)
 	if err != nil || !res.Winnable {
 		t.Fatalf("retry after panic: res=%+v err=%v", res, err)
+	}
+}
+
+// TestPeerTierFlightContract pins the peer tier's contract through the
+// shared type: failed and panicking forwards are evicted (the panic
+// counted) and the next request forwards again; a fetch error — even an
+// owner's wrapped deadline answer — comes back as it is, never as the
+// bare withdrawal sentinel; a withdrawn requester gets ErrDeadline while
+// its forward runs on, and the forward's result warms the key. Once every
+// requester has withdrawn, a newcomer starts a fresh forward, and the
+// abandoned one settling never evicts it.
+func TestPeerTierFlightContract(t *testing.T) {
+	c := newFlight[peerKey, *peerResult]()
+	key := peerKey{model: 1, sig: "s", purpose: "p", mode: "auto"}
+	ok := &peerResult{info: &SynthInfo{Winnable: true}}
+	mustNotFetch := func(<-chan struct{}) (*peerResult, error) {
+		return nil, fmt.Errorf("a warm key must not forward again")
+	}
+	// settled waits until no forward is in flight (settle evicts before
+	// it drops the inflight count).
+	settled := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for c.inflight.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("forward never settled")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// A failing forward is evicted; its error is not the withdrawal.
+	ownerDeadline := fmt.Errorf("%w: owner solve ran out", ErrDeadline)
+	if _, err := c.get(key, nil, func(<-chan struct{}) (*peerResult, error) {
+		return nil, ownerDeadline
+	}, nil); err != ownerDeadline {
+		t.Fatalf("failed forward: want the fetch's own error, got %v", err)
+	}
+	if c.size() != 0 {
+		t.Fatalf("failed forward must be evicted, size=%d", c.size())
+	}
+	// A panicking forward is counted and evicted.
+	if _, err := c.get(key, nil, func(<-chan struct{}) (*peerResult, error) {
+		panic("bad payload")
+	}, nil); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("want a recovered panic error, got %v", err)
+	}
+	if c.panics.Load() != 1 || c.size() != 0 {
+		t.Fatalf("panicked forward: panics=%d size=%d, want 1 and 0", c.panics.Load(), c.size())
+	}
+	if c.misses.Load() != 2 {
+		t.Fatalf("each failure must be followed by a fresh forward, misses=%d", c.misses.Load())
+	}
+
+	// A withdrawn requester answers ErrDeadline; the forward completes
+	// unattended and serves the next requester as a plain hit.
+	started, gate := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := c.get(key, done, func(<-chan struct{}) (*peerResult, error) {
+			close(started)
+			<-gate
+			return ok, nil
+		}, nil)
+		errCh <- err
+	}()
+	<-started
+	close(done)
+	if err := <-errCh; err != ErrDeadline {
+		t.Fatalf("withdrawn requester: want the bare ErrDeadline, got %v", err)
+	}
+	close(gate)
+	settled()
+	if pr, err := c.get(key, nil, mustNotFetch, nil); err != nil || pr != ok {
+		t.Fatalf("warmed key: pr=%+v err=%v", pr, err)
+	}
+
+	// Abandoned and still pending: the newcomer forwards fresh, and the
+	// abandoned forward failing afterwards leaves the fresh result in place.
+	key.purpose = "q"
+	started, gate = make(chan struct{}), make(chan struct{})
+	done = make(chan struct{})
+	go func() {
+		_, err := c.get(key, done, func(<-chan struct{}) (*peerResult, error) {
+			close(started)
+			<-gate
+			return nil, fmt.Errorf("owner went away")
+		}, nil)
+		errCh <- err
+	}()
+	<-started
+	close(done)
+	if err := <-errCh; err != ErrDeadline {
+		t.Fatalf("withdrawn requester: want the bare ErrDeadline, got %v", err)
+	}
+	misses := c.misses.Load()
+	giveUp := make(chan struct{}) // a newcomer wrongly joining would wait on the gate
+	defer time.AfterFunc(10*time.Second, func() { close(giveUp) }).Stop()
+	if pr, err := c.get(key, giveUp, func(<-chan struct{}) (*peerResult, error) {
+		return ok, nil
+	}, nil); err != nil || pr != ok {
+		t.Fatalf("fresh forward: pr=%+v err=%v", pr, err)
+	}
+	if c.misses.Load() != misses+1 {
+		t.Fatalf("a newcomer must not join an abandoned forward, misses %d -> %d", misses, c.misses.Load())
+	}
+	close(gate)
+	settled()
+	if pr, err := c.get(key, nil, mustNotFetch, nil); err != nil || pr != ok {
+		t.Fatalf("the abandoned forward's failure evicted the fresh entry: pr=%+v err=%v", pr, err)
 	}
 }
 

@@ -45,7 +45,6 @@ func WriteMetrics(w io.Writer, st *Stats) error {
 		{"tigad_skeleton_misses_total", "Solves that explored a fresh skeleton.", "counter", st.Solver.SkeletonMisses},
 		{"tigad_skeleton_core_hits_total", "Ghost-overlay solves that reused the core skeleton.", "counter", st.Solver.SkeletonCoreHits},
 		{"tigad_skeleton_core_misses_total", "Ghost-overlay solves that explored the core skeleton.", "counter", st.Solver.SkeletonCoreMisses},
-		{"tigad_condensation_reuses_total", "Condensation reuses across solves.", "counter", st.Solver.CondensationReuses},
 		{"tigad_solve_nanos_total", "Total solve wall-clock in nanoseconds.", "counter", st.Solver.SolveNanos},
 		{"tigad_solve_explore_nanos_total", "Solve wall-clock attributed to zone-graph exploration, in nanoseconds.", "counter", st.Solver.ExploreNanos},
 		{"tigad_solve_condense_nanos_total", "Solve wall-clock attributed to SCC condensation, in nanoseconds.", "counter", st.Solver.CondenseNanos},

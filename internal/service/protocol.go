@@ -183,8 +183,8 @@ type CacheStats struct {
 // SessionStats are the session-layer counters. Timeouts counts requests
 // answered with the "deadline" error kind, Cancellations solves aborted
 // because every waiter withdrew, PanicsRecovered panics turned into error
-// responses (session handlers and solve goroutines combined) — a healthy
-// daemon keeps the latter at zero.
+// responses (session handlers, solve goroutines and peer fetches combined)
+// — a healthy daemon keeps the latter at zero.
 type SessionStats struct {
 	Active          int64 `json:"active"`
 	Peak            int64 `json:"peak"`
@@ -210,7 +210,6 @@ type SolverStats struct {
 	SkeletonMisses     int64 `json:"skeleton_misses"`
 	SkeletonCoreHits   int64 `json:"skeleton_core_hits"`
 	SkeletonCoreMisses int64 `json:"skeleton_core_misses"`
-	CondensationReuses int64 `json:"condensation_reuses"`
 
 	SolveNanos     int64 `json:"solve_nanos"`
 	ExploreNanos   int64 `json:"explore_nanos"`

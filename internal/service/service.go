@@ -84,7 +84,7 @@ type modelEntry struct {
 // AddModel, then Listen.
 type Service struct {
 	opts  Options
-	cache *strategyCache
+	cache *flight[cacheKey, *game.Result]
 	// cl is the fleet state (nil on a standalone daemon — the nil check is
 	// the only branch the baseline request path gains, so a daemon without
 	// -peers behaves byte-identically to the pre-cluster service). Set once
@@ -108,12 +108,20 @@ type Service struct {
 	timeouts   atomic.Int64 // requests answered with the "deadline" error kind
 	sessPanics atomic.Int64 // request handler panics recovered into responses
 
+	// Compiled-strategy telemetry. Cached results carry their compiled
+	// decision tables (built once per Result, shared by every consumer), so
+	// these count consumption, not storage: compiledHits is the number of
+	// requests served through a compiled strategy (run executions and
+	// strategy-encoding fetches), compiledBytes the total canonical wire
+	// bytes shipped to clients by the strategy op.
+	compiledHits  atomic.Int64
+	compiledBytes atomic.Int64
+
 	solves             atomic.Int64
 	skeletonHits       atomic.Int64
 	skeletonMisses     atomic.Int64
 	skeletonCoreHits   atomic.Int64
 	skeletonCoreMisses atomic.Int64
-	condensationReuses atomic.Int64
 
 	// Per-phase solver wall-clock, folded from game.Stats by noteSolve.
 	solveNanos     atomic.Int64
@@ -138,7 +146,7 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		opts:     opts,
-		cache:    newStrategyCache(),
+		cache:    newFlight[cacheKey, *game.Result](),
 		models:   map[string]*modelEntry{},
 		sessions: map[*session]struct{}{},
 	}
@@ -331,7 +339,6 @@ func (s *Service) noteSolve(st game.Stats) {
 	s.skeletonMisses.Add(int64(st.SkeletonMisses))
 	s.skeletonCoreHits.Add(int64(st.SkeletonCoreHits))
 	s.skeletonCoreMisses.Add(int64(st.SkeletonCoreMisses))
-	s.condensationReuses.Add(int64(st.CondensationReuses))
 	s.solveNanos.Add(int64(st.Duration))
 	s.exploreNanos.Add(int64(st.ExploreDuration))
 	s.condenseNanos.Add(int64(st.CondenseDuration))
@@ -363,14 +370,9 @@ func (s *Service) noteCompile(res *game.Result, ctx obs.SpanContext) {
 // solveVia is the campaign planner's SolveVia hook: it content-addresses
 // every per-goal solve into the shared strategy cache (so K concurrent
 // campaigns on one model pay each goal's solve once, and campaign goals
-// prime the cache for later synthesize/run requests of the same purposes)
-// and serializes the actual solves on the model's mutex — game.Batch is
-// single-threaded, and campaigns share the model's batch to share its
-// explored core skeleton. done is the requester's withdrawal signal (the
-// request deadline); the cache hands the solve its own cancel channel,
-// which closes only when every waiting requester has withdrawn.
-// tctx is the request's trace context; nil-safe obs plumbing means a
-// zero SpanContext (observability off) costs nothing.
+// prime the cache for later synthesize/run requests of the same purposes).
+// done is the requester's withdrawal signal (the request deadline) and
+// tctx its trace context (see cachedSolve).
 func (s *Service) solveVia(me *modelEntry, done <-chan struct{}, tctx obs.SpanContext) func(campaign.SolveKey, func() (*game.Result, error)) (*game.Result, error) {
 	return func(key campaign.SolveKey, solve func() (*game.Result, error)) (*game.Result, error) {
 		ck := cacheKey{
@@ -381,26 +383,38 @@ func (s *Service) solveVia(me *modelEntry, done <-chan struct{}, tctx obs.SpanCo
 			coop:    key.Cooperative,
 			edits:   key.EditHash,
 		}
-		return s.cache.get(ck, done, func(cancel <-chan struct{}) (*game.Result, error) {
-			me.solveMu.Lock()
-			defer me.solveMu.Unlock()
-			me.batch.SetCancel(cancel)
-			defer me.batch.SetCancel(nil)
-			sp := s.obs.tracer().StartSpan(tctx, "solve")
-			sp.SetNote(key.Purpose)
-			res, err := solve()
-			if err == nil {
-				s.noteSolve(res.Stats)
-			} else {
-				sp.SetErr(err.Error())
-			}
-			sp.End()
-			if err == nil {
-				s.noteCompile(res, tctx)
-			}
-			return res, err
-		}, s.cacheNote(tctx, key.Purpose))
+		return s.cachedSolve(me, ck, done, tctx, solve)
 	}
+}
+
+// cachedSolve resolves key through the strategy cache, running solve on a
+// miss. Solves serialize on the model's mutex — game.Batch is
+// single-threaded, and campaigns share the model's batch to share its
+// explored core skeleton — with the batch's cancel hook bound to the
+// cache's cancel channel, which closes only when every waiting requester
+// has withdrawn. done is the requester's withdrawal signal (the request
+// deadline). tctx is the request's trace context; nil-safe obs plumbing
+// means a zero SpanContext (observability off) costs nothing.
+func (s *Service) cachedSolve(me *modelEntry, key cacheKey, done <-chan struct{}, tctx obs.SpanContext, solve func() (*game.Result, error)) (*game.Result, error) {
+	return s.cache.get(key, done, func(cancel <-chan struct{}) (*game.Result, error) {
+		me.solveMu.Lock()
+		defer me.solveMu.Unlock()
+		me.batch.SetCancel(cancel)
+		defer me.batch.SetCancel(nil)
+		sp := s.obs.tracer().StartSpan(tctx, "solve")
+		sp.SetNote(key.purpose)
+		res, err := solve()
+		if err == nil {
+			s.noteSolve(res.Stats)
+		} else {
+			sp.SetErr(err.Error())
+		}
+		sp.End()
+		if err == nil {
+			s.noteCompile(res, tctx)
+		}
+		return res, err
+	}, s.cacheNote(tctx, key.purpose))
 }
 
 // cacheNote returns the cache-outcome callback handed to cache.get: an
@@ -435,25 +449,9 @@ func (s *Service) synthesize(me *modelEntry, f *tctl.Formula, sig, mode string, 
 			edge:    -1,
 			coop:    coop,
 		}
-		return s.cache.get(key, done, func(cancel <-chan struct{}) (*game.Result, error) {
-			me.solveMu.Lock()
-			defer me.solveMu.Unlock()
-			me.batch.SetCancel(cancel)
-			defer me.batch.SetCancel(nil)
-			sp := s.obs.tracer().StartSpan(tctx, "solve")
-			sp.SetNote(f.String())
-			res, err := me.batch.Solve(f, coop)
-			if err == nil {
-				s.noteSolve(res.Stats)
-			} else {
-				sp.SetErr(err.Error())
-			}
-			sp.End()
-			if err == nil {
-				s.noteCompile(res, tctx)
-			}
-			return res, err
-		}, s.cacheNote(tctx, f.String()))
+		return s.cachedSolve(me, key, done, tctx, func() (*game.Result, error) {
+			return me.batch.Solve(f, coop)
+		})
 	}
 	switch mode {
 	case "", "auto":
@@ -493,7 +491,6 @@ func (s *Service) StatsSnapshot() *Stats {
 			SkeletonMisses:     s.skeletonMisses.Load(),
 			SkeletonCoreHits:   s.skeletonCoreHits.Load(),
 			SkeletonCoreMisses: s.skeletonCoreMisses.Load(),
-			CondensationReuses: s.condensationReuses.Load(),
 			SolveNanos:         s.solveNanos.Load(),
 			ExploreNanos:       s.exploreNanos.Load(),
 			CondenseNanos:      s.condenseNanos.Load(),
@@ -502,8 +499,11 @@ func (s *Service) StatsSnapshot() *Stats {
 		},
 		Latency: s.HistogramSnapshots(),
 	}
+	st.Cache.CompiledHits = s.compiledHits.Load()
+	st.Cache.CompiledBytes = s.compiledBytes.Load()
 	if s.cl != nil {
 		st.Cluster = s.cl.snapshot()
+		st.Sessions.PanicsRecovered += s.cl.tier2.panics.Load()
 	}
 	s.mu.Lock()
 	names := make([]string, 0, len(s.models))

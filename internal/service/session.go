@@ -323,12 +323,12 @@ func (rv *resolved) encoded() ([]byte, string, error) {
 // the non-reachability purposes compilation rejects.
 func (rv *resolved) consultant(s *Service) game.Consultant {
 	if rv.cs != nil {
-		s.cache.compiledHits.Add(1)
+		s.compiledHits.Add(1)
 		return rv.cs
 	}
 	consult := rv.res.Consultant()
 	if _, ok := consult.(*game.CompiledStrategy); ok {
-		s.cache.compiledHits.Add(1)
+		s.compiledHits.Add(1)
 	}
 	return consult
 }
@@ -477,8 +477,8 @@ func (ss *session) strategy(req *Request, done <-chan struct{}) *Response {
 		return errResp("compile: %v", err)
 	}
 	sp.End()
-	ss.s.cache.compiledHits.Add(1)
-	ss.s.cache.compiledBytes.Add(int64(len(data)))
+	ss.s.compiledHits.Add(1)
+	ss.s.compiledBytes.Add(int64(len(data)))
 	return &Response{Event: "result", OK: true, Strategy: &StrategyInfo{
 		Synth:    *rv.info,
 		Bytes:    len(data),
