@@ -63,21 +63,6 @@ func analyzeMutants(sys *model.System, env *tctl.ParseEnv, suite *Suite, rows []
 
 	batch := opts.Batch
 	stats := &PlanStats{}
-	route := func(key SolveKey, solve func() (*game.Result, error)) (*game.Result, error) {
-		var (
-			res *game.Result
-			err error
-		)
-		if opts.SolveVia != nil {
-			res, err = opts.SolveVia(key, solve)
-		} else {
-			res, err = solve()
-		}
-		if err == nil && res != nil {
-			stats.fold(res.Stats)
-		}
-		return res, err
-	}
 	goalByName := map[string]*PlannedGoal{}
 	for _, pg := range suite.Goals {
 		goalByName[pg.Name] = pg
@@ -148,7 +133,7 @@ func analyzeMutants(sys *model.System, env *tctl.ParseEnv, suite *Suite, rows []
 					break
 				}
 				key := SolveKey{Purpose: f.String(), Signature: game.ExtrapolationSignature(sys, f), EdgeID: pg.EdgeID, Cooperative: e.Cooperative, EditHash: eh}
-				res, err = route(key, func() (*game.Result, error) {
+				res, err = opts.route(stats, key, func() (*game.Result, error) {
 					return batch.SolveDeltaEdgeGhost(inst, row.Sys, es, f, pg.EdgeID, e.Cooperative)
 				})
 			} else {
@@ -158,7 +143,7 @@ func analyzeMutants(sys *model.System, env *tctl.ParseEnv, suite *Suite, rows []
 					break
 				}
 				key := SolveKey{Purpose: f.String(), Signature: game.ExtrapolationSignature(sys, f), EdgeID: -1, Cooperative: e.Cooperative, EditHash: eh}
-				res, err = route(key, func() (*game.Result, error) {
+				res, err = opts.route(stats, key, func() (*game.Result, error) {
 					return batch.SolveDelta(row.Sys, es, f, e.Cooperative)
 				})
 			}

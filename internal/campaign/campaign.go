@@ -73,11 +73,6 @@ type Options struct {
 	// every run dials its own connection, so the server must accept
 	// concurrent sessions (adapter.ServeFactory).
 	RemoteAddr string
-	// DisableLazyRetry skips the lazy-determinization retry of ungranted
-	// goals (outputs at window close; see StatusRecovered). Off by default:
-	// the retry only ever recovers coverage the eager conformant
-	// implementation raced past.
-	DisableLazyRetry bool
 	// DisableSharedCore solves every edge goal on its own freshly explored
 	// ghost-instrumented clone (the per-clone baseline) instead of splitting
 	// the shared batch's core skeleton into per-edge ghost overlays
@@ -124,6 +119,27 @@ func (o *Options) consultantFor(res *game.Result) game.Consultant {
 		return res.Strategy
 	}
 	return res.Consultant()
+}
+
+// route sends a per-goal solve through SolveVia when one is configured (the
+// service layer), folding the result's counters into stats either way. All
+// batch access happens inside the routed closure, so a SolveVia that
+// serializes its solves is sufficient to share one batch between
+// concurrent campaigns.
+func (o *Options) route(stats *PlanStats, key SolveKey, solve func() (*game.Result, error)) (*game.Result, error) {
+	var (
+		res *game.Result
+		err error
+	)
+	if o.SolveVia != nil {
+		res, err = o.SolveVia(key, solve)
+	} else {
+		res, err = solve()
+	}
+	if err == nil && res != nil {
+		stats.fold(res.Stats)
+	}
+	return res, err
 }
 
 func (o *Options) withDefaults(sys *model.System) Options {

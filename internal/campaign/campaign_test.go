@@ -170,23 +170,6 @@ func TestCampaignLazyRecoversL5Touch(t *testing.T) {
 		t.Fatal("matrix must include the conformant-lazy row when the suite has lazy entries")
 	}
 
-	// Opting out restores the eager-only plan: the goal stays ungranted.
-	opts := smartLightOptions()
-	opts.DisableLazyRetry = true
-	rep2, err := Run(sys, models.SmartLightEnv(sys), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range rep2.Goals {
-		if g.Name == goal && g.Status != StatusUngranted {
-			t.Fatalf("with the retry disabled %s must stay ungranted, got %s", goal, g.Status)
-		}
-	}
-	for _, row := range rep2.Matrix {
-		if row.IUT == LazyRowName {
-			t.Fatal("no lazy entries => no conformant-lazy row")
-		}
-	}
 }
 
 // TestSharedCoreSolveMatchesPerClone pins the ghost-overlay construction

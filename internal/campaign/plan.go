@@ -286,26 +286,6 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 	}
 
 	suite := &Suite{}
-	// route sends a per-goal solve through the external cache when one is
-	// configured (the service layer), folding the result's counters into the
-	// plan statistics either way. All batch access happens inside the routed
-	// closure, so a SolveVia that serializes its solves is sufficient to
-	// share one batch between concurrent campaigns.
-	route := func(key SolveKey, solve func() (*game.Result, error)) (*game.Result, error) {
-		var (
-			res *game.Result
-			err error
-		)
-		if opts.SolveVia != nil {
-			res, err = opts.SolveVia(key, solve)
-		} else {
-			res, err = solve()
-		}
-		if err == nil && res != nil {
-			suite.Stats.fold(res.Stats)
-		}
-		return res, err
-	}
 	for _, g := range goals {
 		suite.Goals = append(suite.Goals, &PlannedGoal{Goal: g, By: -1})
 	}
@@ -368,12 +348,12 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 				}
 				solve = func(coop bool) (*game.Result, error) {
 					key.Cooperative = coop
-					return route(key, func() (*game.Result, error) { return ib.Solve(f, coop) })
+					return opts.route(&suite.Stats, key, func() (*game.Result, error) { return ib.Solve(f, coop) })
 				}
 			} else {
 				solve = func(coop bool) (*game.Result, error) {
 					key.Cooperative = coop
-					return route(key, func() (*game.Result, error) { return batch.SolveEdgeGhost(isys, f, pg.EdgeID, coop) })
+					return opts.route(&suite.Stats, key, func() (*game.Result, error) { return batch.SolveEdgeGhost(isys, f, pg.EdgeID, coop) })
 				}
 			}
 			res, cov, err = synthesizeForGoal(solve, pg.Goal)
@@ -386,7 +366,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 			key := SolveKey{Purpose: f.String(), Signature: game.ExtrapolationSignature(sys, f), EdgeID: -1}
 			res, cov, err = synthesizeForGoal(func(coop bool) (*game.Result, error) {
 				key.Cooperative = coop
-				return route(key, func() (*game.Result, error) { return batch.Solve(f, coop) })
+				return opts.route(&suite.Stats, key, func() (*game.Result, error) { return batch.Solve(f, coop) })
 			}, pg.Goal)
 		}
 		if err != nil {
@@ -474,7 +454,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 			continue
 		}
 		m, ok := misses[pg.Name]
-		if ok && m.status == StatusUngranted && !opts.DisableLazyRetry {
+		if ok && m.status == StatusUngranted {
 			if by := lazyCoveredBy(pg.Goal); by >= 0 {
 				pg.Status, pg.By = StatusRecovered, by
 				pg.Reason = "recovered by the lazy determinization (outputs at window close)"

@@ -1,10 +1,39 @@
+// Package dsl implements a small textual language for TIOGA networks so
+// models can live in files next to the code that tests them:
+//
+//	system smartlight
+//
+//	clock x, Tp
+//	int best = 3 range 0..3
+//	int inUse[4] range 0..1
+//	chan touch : input
+//	chan dim, bright : output
+//	range BufferId = 0..3
+//
+//	process IUT {
+//	    init Off
+//	    location Off
+//	    location L1 { inv Tp<=2 }
+//	    edge Off -> L1 on touch? when x<20 do { x:=0, Tp:=0 }
+//	    edge L1 -> Dim on dim! do { x:=0 }
+//	}
+//
+// Edges synchronize with `on name?` (receive) / `on name!` (emit) or are
+// internal with `tau input` / `tau output`. Guards after `when` conjoin
+// clock comparisons and data predicates with &&. The `do { ... }` block
+// mixes clock resets (x := 0) and data assignments. Guards, invariants
+// and updates are read by the expression grammar test purposes share
+// (expr.Parser).
+//
+// The complete language reference, with the shipped example models walked
+// through line by line, is docs/DSL.md. Parse/MustParse return a File
+// (system plus named quantifier ranges); parsing is pure and the result
+// immutable, so files may be parsed and shared concurrently.
 package dsl
 
 import (
 	"fmt"
-	"strconv"
 
-	"tigatest/internal/dbm"
 	"tigatest/internal/expr"
 	"tigatest/internal/model"
 	"tigatest/internal/tctl"
@@ -25,10 +54,10 @@ func (f *File) ParseEnv() *tctl.ParseEnv {
 
 // Parse reads a model file.
 func Parse(src string) (*File, error) {
-	p := &parser{toks: lex(src)}
+	p := &parser{Parser: expr.Parser{Toks: expr.Lex(src)}}
 	f, err := p.file()
 	if err != nil {
-		return nil, fmt.Errorf("dsl: line %d: %w", p.cur().line, err)
+		return nil, fmt.Errorf("dsl: line %d: %w", p.Cur().Line, err)
 	}
 	if err := f.Sys.Validate(); err != nil {
 		return nil, fmt.Errorf("dsl: %w", err)
@@ -45,98 +74,59 @@ func MustParse(src string) *File {
 	return f
 }
 
+// parser adds the declarations to the shared expression grammar, whose
+// names resolve to the file's declared variables.
 type parser struct {
-	toks []token
-	pos  int
-
+	expr.Parser
 	file_ *File
-	// pending edges are resolved after all locations of a process exist.
 }
-
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
 func (p *parser) skipNewlines() {
-	for p.cur().kind == tokNewline {
-		p.pos++
+	for p.Cur().Kind == expr.TokNewline {
+		p.Pos++
 	}
-}
-
-func (p *parser) accept(text string) bool {
-	if p.cur().kind != tokEOF && p.cur().kind != tokNewline && p.cur().text == text {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expect(text string) error {
-	if !p.accept(text) {
-		return fmt.Errorf("expected %q, got %s", text, p.cur())
-	}
-	return nil
-}
-
-func (p *parser) ident() (string, error) {
-	if p.cur().kind != tokIdent {
-		return "", fmt.Errorf("expected identifier, got %s", p.cur())
-	}
-	return p.next().text, nil
-}
-
-func (p *parser) number() (int, error) {
-	neg := p.accept("-")
-	if p.cur().kind != tokNum {
-		return 0, fmt.Errorf("expected number, got %s", p.cur())
-	}
-	v, err := strconv.Atoi(p.next().text)
-	if err != nil {
-		return 0, err
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
 }
 
 func (p *parser) endOfDecl() error {
-	switch p.cur().kind {
-	case tokNewline:
-		p.pos++
+	switch p.Cur().Kind {
+	case expr.TokNewline:
+		p.Pos++
 		return nil
-	case tokEOF:
+	case expr.TokEOF:
 		return nil
 	}
-	if p.cur().text == "}" {
+	if p.Cur().Text == "}" {
 		return nil // block close terminates the declaration too
 	}
-	return fmt.Errorf("unexpected %s at end of declaration", p.cur())
+	return fmt.Errorf("unexpected %s at end of declaration", p.Cur())
 }
 
 func (p *parser) file() (*File, error) {
 	p.skipNewlines()
-	if err := p.expect("system"); err != nil {
+	if err := p.Expect("system"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
+	name, err := p.Name()
 	if err != nil {
 		return nil, err
 	}
-	p.file_ = &File{Sys: model.NewSystem(name), Ranges: map[string]tctl.Range{}}
+	sys := model.NewSystem(name)
+	p.file_ = &File{Sys: sys, Ranges: map[string]tctl.Range{}}
+	p.Resolve = func(name string, idx expr.Expr) (expr.Expr, error) { return expr.NewVar(sys.Vars, name, idx) }
 	if err := p.endOfDecl(); err != nil {
 		return nil, err
 	}
 	for {
 		p.skipNewlines()
-		t := p.cur()
-		if t.kind == tokEOF {
+		t := p.Cur()
+		if t.Kind == expr.TokEOF {
 			return p.file_, nil
 		}
-		if t.kind != tokIdent {
+		if t.Kind != expr.TokIdent {
 			return nil, fmt.Errorf("expected declaration, got %s", t)
 		}
 		var err error
-		switch t.text {
+		switch t.Text {
 		case "clock":
 			err = p.clockDecl()
 		case "int":
@@ -148,7 +138,7 @@ func (p *parser) file() (*File, error) {
 		case "process":
 			err = p.processDecl()
 		default:
-			err = fmt.Errorf("unknown declaration %q", t.text)
+			err = fmt.Errorf("unknown declaration %q", t.Text)
 		}
 		if err != nil {
 			return nil, err
@@ -158,14 +148,17 @@ func (p *parser) file() (*File, error) {
 
 // clock x, y
 func (p *parser) clockDecl() error {
-	p.pos++ // clock
+	p.Pos++ // clock
 	for {
-		name, err := p.ident()
+		name, err := p.Name()
 		if err != nil {
 			return err
 		}
+		if _, dup := p.file_.Sys.ClockByName(name); dup {
+			return fmt.Errorf("duplicate clock %q", name)
+		}
 		p.file_.Sys.AddClock(name)
-		if !p.accept(",") {
+		if !p.Accept(",") {
 			break
 		}
 	}
@@ -174,60 +167,51 @@ func (p *parser) clockDecl() error {
 
 // int name = v range lo..hi  |  int name[n] = {a,b} range lo..hi
 func (p *parser) intDecl() error {
-	p.pos++ // int
-	name, err := p.ident()
+	p.Pos++ // int
+	name, err := p.Name()
 	if err != nil {
 		return err
 	}
 	d := expr.VarDecl{Name: name, Len: 1}
-	if p.accept("[") {
-		n, err := p.number()
+	if p.Accept("[") {
+		n, err := p.Number()
 		if err != nil {
 			return err
 		}
 		d.Len = n
-		if err := p.expect("]"); err != nil {
+		if err := p.Expect("]"); err != nil {
 			return err
 		}
 	}
-	if p.accept("=") {
-		if p.accept("{") {
+	if p.Accept("=") {
+		if p.Accept("{") {
 			for {
-				v, err := p.number()
+				v, err := p.Number()
 				if err != nil {
 					return err
 				}
 				d.Init = append(d.Init, v)
-				if !p.accept(",") {
+				if !p.Accept(",") {
 					break
 				}
 			}
-			if err := p.expect("}"); err != nil {
+			if err := p.Expect("}"); err != nil {
 				return err
 			}
 		} else {
-			v, err := p.number()
+			v, err := p.Number()
 			if err != nil {
 				return err
 			}
 			d.Init = []int{v}
 		}
 	}
-	if err := p.expect("range"); err != nil {
+	if err := p.Expect("range"); err != nil {
 		return err
 	}
-	lo, err := p.number()
-	if err != nil {
+	if d.Min, d.Max, err = p.Span(); err != nil {
 		return err
 	}
-	if err := p.expect(".."); err != nil {
-		return err
-	}
-	hi, err := p.number()
-	if err != nil {
-		return err
-	}
-	d.Min, d.Max = lo, hi
 	if _, err := p.file_.Sys.Vars.Declare(d); err != nil {
 		return err
 	}
@@ -236,22 +220,22 @@ func (p *parser) intDecl() error {
 
 // chan a, b : input|output
 func (p *parser) chanDecl() error {
-	p.pos++ // chan
+	p.Pos++ // chan
 	var names []string
 	for {
-		name, err := p.ident()
+		name, err := p.Name()
 		if err != nil {
 			return err
 		}
 		names = append(names, name)
-		if !p.accept(",") {
+		if !p.Accept(",") {
 			break
 		}
 	}
-	if err := p.expect(":"); err != nil {
+	if err := p.Expect(":"); err != nil {
 		return err
 	}
-	kindName, err := p.ident()
+	kindName, err := p.Name()
 	if err != nil {
 		return err
 	}
@@ -265,6 +249,9 @@ func (p *parser) chanDecl() error {
 		return fmt.Errorf("channel kind must be input or output, got %q", kindName)
 	}
 	for _, n := range names {
+		if _, dup := p.file_.Sys.ChannelByName(n); dup {
+			return fmt.Errorf("duplicate channel %q", n)
+		}
 		p.file_.Sys.AddChannel(n, kind)
 	}
 	return p.endOfDecl()
@@ -272,22 +259,15 @@ func (p *parser) chanDecl() error {
 
 // range Name = lo..hi
 func (p *parser) rangeDecl() error {
-	p.pos++ // range
-	name, err := p.ident()
+	p.Pos++ // range
+	name, err := p.Name()
 	if err != nil {
 		return err
 	}
-	if err := p.expect("="); err != nil {
+	if err := p.Expect("="); err != nil {
 		return err
 	}
-	lo, err := p.number()
-	if err != nil {
-		return err
-	}
-	if err := p.expect(".."); err != nil {
-		return err
-	}
-	hi, err := p.number()
+	lo, hi, err := p.Span()
 	if err != nil {
 		return err
 	}
@@ -297,13 +277,16 @@ func (p *parser) rangeDecl() error {
 
 // process Name { ... }
 func (p *parser) processDecl() error {
-	p.pos++ // process
-	name, err := p.ident()
+	p.Pos++ // process
+	name, err := p.Name()
 	if err != nil {
 		return err
 	}
+	if _, dup := p.file_.Sys.ProcByName(name); dup {
+		return fmt.Errorf("duplicate process %q", name)
+	}
 	proc := p.file_.Sys.AddProcess(name)
-	if err := p.expect("{"); err != nil {
+	if err := p.Expect("{"); err != nil {
 		return err
 	}
 	initName := ""
@@ -315,15 +298,15 @@ func (p *parser) processDecl() error {
 	var pending []pendingEdge
 	for {
 		p.skipNewlines()
-		t := p.cur()
-		if t.text == "}" && t.kind == tokPunct {
-			p.pos++
+		t := p.Cur()
+		if t.Text == "}" && t.Kind == expr.TokPunct {
+			p.Pos++
 			break
 		}
-		switch t.text {
+		switch t.Text {
 		case "init":
-			p.pos++
-			initName, err = p.ident()
+			p.Pos++
+			initName, err = p.Name()
 			if err != nil {
 				return err
 			}
@@ -335,7 +318,7 @@ func (p *parser) processDecl() error {
 				return err
 			}
 		case "edge":
-			line := t.line
+			line := t.Line
 			src, dst, e, err := p.edgeDecl()
 			if err != nil {
 				return err
@@ -370,33 +353,36 @@ func (p *parser) processDecl() error {
 
 // location Name [{ inv <clock constraints> | urgent | committed }]
 func (p *parser) locationDecl(proc *model.Process) error {
-	p.pos++ // location
-	name, err := p.ident()
+	p.Pos++ // location
+	name, err := p.Name()
 	if err != nil {
 		return err
 	}
+	if _, dup := proc.LocByName(name); dup {
+		return fmt.Errorf("duplicate location %q", name)
+	}
 	loc := model.Location{Name: name}
-	if p.accept("{") {
+	if p.Accept("{") {
 		for {
 			p.skipNewlines()
-			if p.accept("}") {
+			if p.Accept("}") {
 				break
 			}
 			switch {
-			case p.accept("urgent"):
+			case p.Accept("urgent"):
 				loc.Urgent = true
-			case p.accept("committed"):
+			case p.Accept("committed"):
 				loc.Committed = true
-			case p.accept("inv"):
+			case p.Accept("inv"):
 				cs, err := p.clockConjunction()
 				if err != nil {
 					return err
 				}
 				loc.Invariant = append(loc.Invariant, cs...)
 			default:
-				return fmt.Errorf("unexpected %s in location body", p.cur())
+				return fmt.Errorf("unexpected %s in location body", p.Cur())
 			}
-			p.accept(";")
+			p.Accept(";")
 		}
 	}
 	proc.AddLocation(loc)
@@ -405,14 +391,14 @@ func (p *parser) locationDecl(proc *model.Process) error {
 
 // edge Src -> Dst [on chan?|chan!] [tau input|output] [when guard] [do {...}]
 func (p *parser) edgeDecl() (src, dst string, e model.Edge, err error) {
-	p.pos++ // edge
-	if src, err = p.ident(); err != nil {
+	p.Pos++ // edge
+	if src, err = p.Name(); err != nil {
 		return
 	}
-	if err = p.expect("->"); err != nil {
+	if err = p.Expect("->"); err != nil {
 		return
 	}
-	if dst, err = p.ident(); err != nil {
+	if dst, err = p.Name(); err != nil {
 		return
 	}
 	e.Dir = model.NoSync
@@ -420,9 +406,9 @@ func (p *parser) edgeDecl() (src, dst string, e model.Edge, err error) {
 	e.Kind = model.Controllable
 	for {
 		switch {
-		case p.accept("on"):
+		case p.Accept("on"):
 			var ch string
-			if ch, err = p.ident(); err != nil {
+			if ch, err = p.Name(); err != nil {
 				return
 			}
 			idx, ok := p.file_.Sys.ChannelByName(ch)
@@ -432,17 +418,17 @@ func (p *parser) edgeDecl() (src, dst string, e model.Edge, err error) {
 			}
 			e.Chan = idx
 			switch {
-			case p.accept("?"):
+			case p.Accept("?"):
 				e.Dir = model.Receive
-			case p.accept("!"):
+			case p.Accept("!"):
 				e.Dir = model.Emit
 			default:
 				err = fmt.Errorf("channel %q needs ? or !", ch)
 				return
 			}
-		case p.accept("tau"):
+		case p.Accept("tau"):
 			var kindName string
-			if kindName, err = p.ident(); err != nil {
+			if kindName, err = p.Name(); err != nil {
 				return
 			}
 			switch kindName {
@@ -454,11 +440,11 @@ func (p *parser) edgeDecl() (src, dst string, e model.Edge, err error) {
 				err = fmt.Errorf("tau kind must be input or output, got %q", kindName)
 				return
 			}
-		case p.accept("when"):
+		case p.Accept("when"):
 			if err = p.guard(&e); err != nil {
 				return
 			}
-		case p.accept("do"):
+		case p.Accept("do"):
 			if err = p.doBlock(&e); err != nil {
 				return
 			}
@@ -473,256 +459,79 @@ func (p *parser) edgeDecl() (src, dst string, e model.Edge, err error) {
 // comparison or a data predicate.
 func (p *parser) guard(e *model.Edge) error {
 	for {
-		if err := p.guardTerm(e); err != nil {
+		cs, ok, err := p.clockTerm()
+		if err != nil {
 			return err
 		}
-		if !p.accept("&&") {
-			return nil
-		}
-	}
-}
-
-func (p *parser) guardTerm(e *model.Edge) error {
-	// Clock comparison: ident (-ident)? op num, where ident is a clock.
-	if p.cur().kind == tokIdent {
-		if ci, ok := p.clockByName(p.cur().text); ok {
-			p.pos++
-			cj := 0
-			if p.accept("-") {
-				name, err := p.ident()
-				if err != nil {
-					return err
-				}
-				var ok2 bool
-				cj, ok2 = p.clockByName(name)
-				if !ok2 {
-					return fmt.Errorf("clock difference needs two clocks, %q is not a clock", name)
-				}
-			}
-			op := p.next().text
-			k, err := p.number()
-			if err != nil {
-				return err
-			}
-			cs, err := clockComparison(ci, cj, op, k)
-			if err != nil {
-				return err
-			}
+		if ok {
 			e.Guard.Clocks = append(e.Guard.Clocks, cs...)
+		} else {
+			ex, err := p.Comparison()
+			if err != nil {
+				return err
+			}
+			if e.Guard.Data == nil {
+				e.Guard.Data = ex
+			} else {
+				e.Guard.Data = expr.NewBin(expr.OpAnd, e.Guard.Data, ex)
+			}
+		}
+		if !p.Accept("&&") {
 			return nil
 		}
 	}
-	// Otherwise a data predicate (comparison over int expressions).
-	ex, err := p.dataComparison()
-	if err != nil {
-		return err
-	}
-	if e.Guard.Data == nil {
-		e.Guard.Data = ex
-	} else {
-		e.Guard.Data = expr.NewBin(expr.OpAnd, e.Guard.Data, ex)
-	}
-	return nil
 }
 
-func clockComparison(ci, cj int, op string, k int) ([]model.ClockConstraint, error) {
-	mk := func(i, j int, b dbm.Bound) model.ClockConstraint {
-		return model.ClockConstraint{I: i, J: j, Bound: b}
+// clockTerm parses one clock comparison of a guard or invariant into the
+// constraints it conjoins; ok is false when the term does not start with
+// a clock.
+func (p *parser) clockTerm() (cs []model.ClockConstraint, ok bool, err error) {
+	a, ok, err := p.ClockAtom(p.file_.Sys.ClockByName)
+	if ok && err == nil {
+		cs, err = model.CompareClocks(a.I, a.J, a.Op, a.K)
 	}
-	switch op {
-	case "<":
-		return []model.ClockConstraint{mk(ci, cj, dbm.LT(k))}, nil
-	case "<=":
-		return []model.ClockConstraint{mk(ci, cj, dbm.LE(k))}, nil
-	case ">":
-		return []model.ClockConstraint{mk(cj, ci, dbm.LT(-k))}, nil
-	case ">=":
-		return []model.ClockConstraint{mk(cj, ci, dbm.LE(-k))}, nil
-	case "==":
-		return []model.ClockConstraint{mk(ci, cj, dbm.LE(k)), mk(cj, ci, dbm.LE(-k))}, nil
-	}
-	return nil, fmt.Errorf("unsupported clock comparison %q", op)
-}
-
-// dataComparison parses sum (op sum)?.
-func (p *parser) dataComparison() (expr.Expr, error) {
-	l, err := p.sum()
-	if err != nil {
-		return nil, err
-	}
-	var op expr.Op
-	switch p.cur().text {
-	case "==":
-		op = expr.OpEq
-	case "!=":
-		op = expr.OpNe
-	case "<":
-		op = expr.OpLt
-	case "<=":
-		op = expr.OpLe
-	case ">":
-		op = expr.OpGt
-	case ">=":
-		op = expr.OpGe
-	default:
-		return l, nil
-	}
-	p.pos++
-	r, err := p.sum()
-	if err != nil {
-		return nil, err
-	}
-	return expr.NewBin(op, l, r), nil
-}
-
-func (p *parser) sum() (expr.Expr, error) {
-	l, err := p.term()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept("+"):
-			r, err := p.term()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpAdd, l, r)
-		case p.accept("-"):
-			r, err := p.term()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpSub, l, r)
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) term() (expr.Expr, error) {
-	l, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept("*"):
-			r, err := p.primary()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpMul, l, r)
-		case p.accept("/"):
-			r, err := p.primary()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpDiv, l, r)
-		case p.accept("%"):
-			r, err := p.primary()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpMod, l, r)
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) primary() (expr.Expr, error) {
-	t := p.cur()
-	switch {
-	case t.kind == tokNum:
-		v, err := p.number()
-		if err != nil {
-			return nil, err
-		}
-		return expr.Lit(v), nil
-	case t.text == "-":
-		p.pos++
-		e, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewBin(expr.OpSub, expr.Lit(0), e), nil
-	case t.text == "(":
-		p.pos++
-		e, err := p.dataComparison()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tokIdent:
-		name, _ := p.ident()
-		var idx expr.Expr
-		if p.accept("[") {
-			var err error
-			idx, err = p.sum()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-		}
-		return expr.NewVar(p.file_.Sys.Vars, name, idx)
-	}
-	return nil, fmt.Errorf("unexpected %s in expression", t)
+	return cs, ok, err
 }
 
 // doBlock parses { stmt, stmt, ... } mixing clock resets and assignments.
 func (p *parser) doBlock(e *model.Edge) error {
-	if err := p.expect("{"); err != nil {
+	if err := p.Expect("{"); err != nil {
 		return err
 	}
 	for {
 		p.skipNewlines()
-		if p.accept("}") {
+		if p.Accept("}") {
 			return nil
 		}
-		name, err := p.ident()
-		if err != nil {
-			return err
-		}
-		if ci, ok := p.clockByName(name); ok {
-			if err := p.expect(":="); err != nil {
+		if ci, ok := p.file_.Sys.ClockByName(p.Cur().Text); ok {
+			p.Pos++
+			if err := p.Expect(":="); err != nil {
 				return err
 			}
-			v, err := p.number()
+			v, err := p.Number()
 			if err != nil {
 				return err
 			}
 			e.Resets = append(e.Resets, model.ClockReset{Clock: ci, Value: v})
 		} else {
-			var idx expr.Expr
-			if p.accept("[") {
-				idx, err = p.sum()
-				if err != nil {
-					return err
-				}
-				if err := p.expect("]"); err != nil {
-					return err
-				}
-			}
-			target, err := expr.NewVar(p.file_.Sys.Vars, name, idx)
+			lhs, err := p.Sum()
 			if err != nil {
 				return err
 			}
-			if err := p.expect(":="); err != nil {
+			target, ok := lhs.(*expr.Var)
+			if !ok {
+				return fmt.Errorf("cannot assign to %s", lhs)
+			}
+			if err := p.Expect(":="); err != nil {
 				return err
 			}
-			val, err := p.sum()
+			val, err := p.Sum()
 			if err != nil {
 				return err
 			}
 			e.Assigns = append(e.Assigns, expr.Assign{Target: target, Value: val})
 		}
-		p.accept(",")
+		p.Accept(",")
 	}
 }
 
@@ -731,46 +540,16 @@ func (p *parser) doBlock(e *model.Edge) error {
 func (p *parser) clockConjunction() ([]model.ClockConstraint, error) {
 	var out []model.ClockConstraint
 	for {
-		name, err := p.ident()
+		cs, ok, err := p.clockTerm()
 		if err != nil {
 			return nil, err
 		}
-		ci, ok := p.clockByName(name)
 		if !ok {
-			return nil, fmt.Errorf("invariants must constrain clocks; %q is not a clock", name)
-		}
-		cj := 0
-		if p.accept("-") {
-			other, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			cj, ok = p.clockByName(other)
-			if !ok {
-				return nil, fmt.Errorf("clock difference needs two clocks, %q is not a clock", other)
-			}
-		}
-		op := p.next().text
-		k, err := p.number()
-		if err != nil {
-			return nil, err
-		}
-		cs, err := clockComparison(ci, cj, op, k)
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("invariants must constrain clocks; %s is not a clock", p.Cur())
 		}
 		out = append(out, cs...)
-		if !p.accept("&&") {
+		if !p.Accept("&&") {
 			return out, nil
 		}
 	}
-}
-
-func (p *parser) clockByName(name string) (int, bool) {
-	for _, c := range p.file_.Sys.Clocks[1:] {
-		if c.Name == name {
-			return c.Index, true
-		}
-	}
-	return 0, false
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"tigatest/internal/expr"
 	"tigatest/internal/model"
 	"tigatest/internal/tctl"
 )
@@ -105,8 +106,8 @@ func Print(sys *model.System, ranges map[string]tctl.Range) string {
 			for _, c := range e.Guard.Clocks {
 				guards = append(guards, c.String(sys))
 			}
-			if e.Guard.Data != nil {
-				guards = append(guards, stripOuterParens(e.Guard.Data.String()))
+			for _, c := range conjuncts(e.Guard.Data) {
+				guards = append(guards, stripOuterParens(c.String()))
 			}
 			if len(guards) > 0 {
 				fmt.Fprintf(&b, " when %s", strings.Join(guards, " && "))
@@ -143,6 +144,18 @@ func identSafe(s string) string {
 		return "unnamed"
 	}
 	return string(out)
+}
+
+// conjuncts splits a data guard at its top-level &&s: the parser reads a
+// guard as a flat run of terms, so a nested conjunction prints flat.
+func conjuncts(e expr.Expr) []expr.Expr {
+	if e == nil {
+		return nil
+	}
+	if b, ok := e.(*expr.Bin); ok && b.Op == expr.OpAnd {
+		return append(conjuncts(b.L), conjuncts(b.R)...)
+	}
+	return []expr.Expr{e}
 }
 
 func stripOuterParens(s string) string {

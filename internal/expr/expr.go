@@ -1,12 +1,16 @@
 // Package expr provides bounded integer variables, arrays and a small
 // expression language used for data guards, updates and test-purpose
-// predicates in timed-automata models (the UPPAAL-style data layer).
+// predicates in timed-automata models (the UPPAAL-style data layer), and
+// the one lexer and expression grammar both text front ends parse it with:
+// model files (internal/dsl) and test purposes (internal/tctl).
 //
 // Key types: Table (the declaration table mapping names to offsets in an
 // int32 environment), Expr/Assign trees built by NewVar/NewBin/Lit, and
-// Ctx binding a table to one environment for Truth/Eval/ApplyAll. Tables
-// and expression trees are immutable after construction and safe to share;
-// a Ctx wraps one mutable environment and is single-caller.
+// Ctx binding a table to one environment for Truth/Eval/ApplyAll. Lex and
+// Parser (parse.go) read comparisons, arithmetic and clock atoms; each
+// front end embeds a Parser and resolves names through its Resolve hook.
+// Tables and expression trees are immutable after construction and safe
+// to share; a Ctx or a Parser is single-caller.
 package expr
 
 import (

@@ -142,45 +142,30 @@ type condensation struct {
 	preds [][]int32
 }
 
-// condEdit is the graph delta between a condensation and the current
-// graph: nodes oldN..n-1 (per the updateCondensation arguments) are new,
-// and the listed edges were inserted or removed among (or incident to) the
-// old nodes. Edges wholly among new nodes ride along with the new nodes
-// and need no entry. dirty lists old nodes whose successor set shrank or
-// was rearranged in some unclassified way; their components are recomputed
-// wholesale. Every inserted edge MUST be listed in inserted even when its
-// source is also dirty — an insertion can merge components far from its
-// endpoints, which only the head/tail cone analysis discovers, while
-// removals only ever split the component containing the removed edge.
-type condEdit struct {
-	inserted [][2]int32
-	removed  [][2]int32
-	dirty    []int32
-}
-
 // updateCondensation revises prev — the condensation of this graph as of
 // oldN nodes — to cover the current graph of n nodes, recomputing only the
-// cone of influence of the edit.
+// cone of influence of the inserted edges. Nodes oldN..n-1 are new, and
+// inserted lists every edge added to (or incident to) an old node; edges
+// wholly among new nodes ride along with the new nodes and need no entry.
+// The graph only grows: no edge is ever removed or redirected.
 //
-// Soundness: a cycle that uses no edited edge and no new node existed
+// Soundness: a cycle that uses no inserted edge and no new node existed
 // before and lies inside one old component, so only components on a
 // potential new cycle can change membership. Every such component sits on
 // an old DAG path from the target component of some inserted edge (a
 // "head" — where the cycle re-enters the old region) to the source
 // component of some inserted edge (a "tail" — where it leaves), so the
 // affected set is (descendants of heads) ∩ (ancestors of tails) over the
-// old DAG, plus the components of dirty nodes and removed-edge endpoints
-// (removal only ever splits the component containing the edge). The
-// members of affected components plus all new nodes form the restricted
-// region; mutual-reachability paths among region nodes cannot leave the
-// region (a leaving path would put an unaffected component on a new
-// cycle), so a Tarjan pass restricted to the region — ignoring edges that
-// leave it — recomputes exactly the changed components.
-func updateCondensation(prev *condensation, oldN, n int, deg func(u int) int, succ func(u, i int) int, edit *condEdit) *condensation {
+// old DAG. The members of affected components plus all new nodes form the
+// restricted region; mutual-reachability paths among region nodes cannot
+// leave the region (a leaving path would put an unaffected component on a
+// new cycle), so a Tarjan pass restricted to the region — ignoring edges
+// that leave it — recomputes exactly the changed components.
+func updateCondensation(prev *condensation, oldN, n int, deg func(u int) int, succ func(u, i int) int, inserted [][2]int32) *condensation {
 	oldComps := len(prev.comps)
 
 	// Affected components: (desc of inserted heads) ∩ (anc of inserted
-	// tails), plus dirty-node and removed-edge-endpoint components.
+	// tails).
 	desc := make([]bool, oldComps)
 	anc := make([]bool, oldComps)
 	var queue []int32
@@ -204,7 +189,7 @@ func updateCondensation(prev *condensation, oldN, n int, deg func(u int) int, su
 		}
 	}
 	var heads, tails []int32
-	for _, e := range edit.inserted {
+	for _, e := range inserted {
 		if int(e[1]) < oldN {
 			heads = append(heads, prev.compOf[e[1]])
 		}
@@ -217,18 +202,6 @@ func updateCondensation(prev *condensation, oldN, n int, deg func(u int) int, su
 	affected := make([]bool, oldComps)
 	for c := range affected {
 		affected[c] = desc[c] && anc[c]
-	}
-	for _, v := range edit.dirty {
-		if int(v) < oldN {
-			affected[prev.compOf[v]] = true
-		}
-	}
-	for _, e := range edit.removed {
-		for _, v := range e {
-			if int(v) < oldN {
-				affected[prev.compOf[v]] = true
-			}
-		}
 	}
 
 	// Restricted region: members of affected components plus new nodes.
@@ -299,18 +272,8 @@ func updateCondensation(prev *condensation, oldN, n int, deg func(u int) int, su
 			}
 		}
 	}
-	for _, e := range edit.inserted {
+	for _, e := range inserted {
 		recompute[c.compOf[e[0]]] = true
-	}
-	for _, e := range edit.removed {
-		if int(e[0]) < oldN {
-			recompute[c.compOf[e[0]]] = true
-		}
-	}
-	for _, v := range edit.dirty {
-		if int(v) < n {
-			recompute[c.compOf[v]] = true
-		}
 	}
 
 	from := make([]int32, len(c.comps)) // kept old list per component, -1 to rescan
@@ -436,7 +399,7 @@ func (s *solver) condense() *condensation {
 	succ := func(u, i int) int { return s.nodes[u].succs[i].target }
 	var c *condensation
 	if s.lastCond != nil && !s.opts.DisableIncremental {
-		c = updateCondensation(s.lastCond, s.lastCondNodes, n, deg, succ, &condEdit{inserted: s.condEdits})
+		c = updateCondensation(s.lastCond, s.lastCondNodes, n, deg, succ, s.condEdits)
 		s.stats.CondensationIncrementals++
 	} else {
 		compOf, comps := tarjanSCC(n, deg, succ)

@@ -1,6 +1,5 @@
 // Randomized edit-sequence property tests for the incremental SCC
-// condensation: apply seeded insert/delete/redirect/grow scripts to random
-// graphs, maintain the condensation through updateCondensation after every
+// condensation: apply seeded insert/grow scripts to random graphs, maintain the condensation through updateCondensation after every
 // step, and cross-check it against a from-scratch tarjanSCC condensation —
 // the same mutual-reachability-style oracle scc_test.go pins the full
 // Tarjan pass with.
@@ -166,10 +165,10 @@ func checkCondEquiv(t *testing.T, got, want *condensation, n int, ctx string) {
 }
 
 // TestIncrementalCondensationRandomScripts drives updateCondensation
-// through 500 seeded edit scripts — edge inserts, deletes, redirects,
-// node growth with mixed old/new edges, and wholesale dirty rewrites —
-// cross-checking the maintained condensation against the from-scratch
-// oracle after every step.
+// through 500 seeded edit scripts — edge inserts and node growth with
+// mixed old/new edges, the only edits the solver makes — cross-checking
+// the maintained condensation against the from-scratch oracle after every
+// step.
 func TestIncrementalCondensationRandomScripts(t *testing.T) {
 	const scripts = 500
 	for script := 0; script < scripts; script++ {
@@ -186,73 +185,40 @@ func TestIncrementalCondensationRandomScripts(t *testing.T) {
 		steps := 3 + rng.Intn(6)
 		for step := 0; step < steps; step++ {
 			oldN := len(adj)
-			edit := &condEdit{}
-			record := func(kind int, u, v int32) {
+			var inserted [][2]int32
+			record := func(u, v int32) {
 				// Edges wholly among nodes added this step need no entry.
 				if int(u) >= oldN && int(v) >= oldN {
 					return
 				}
-				if kind == 0 {
-					edit.inserted = append(edit.inserted, [2]int32{u, v})
-				} else {
-					edit.removed = append(edit.removed, [2]int32{u, v})
-				}
+				inserted = append(inserted, [2]int32{u, v})
 			}
 			for op := 1 + rng.Intn(4); op > 0; op-- {
-				switch rng.Intn(5) {
+				switch rng.Intn(2) {
 				case 0: // insert an edge between existing nodes
 					u, v := int32(rng.Intn(len(adj))), int32(rng.Intn(len(adj)))
 					adj[u] = append(adj[u], v)
-					record(0, u, v)
-				case 1: // delete a random edge
-					u := int32(rng.Intn(len(adj)))
-					if len(adj[u]) == 0 {
-						continue
-					}
-					i := rng.Intn(len(adj[u]))
-					v := adj[u][i]
-					adj[u] = append(adj[u][:i], adj[u][i+1:]...)
-					record(1, u, v)
-				case 2: // redirect a random edge
-					u := int32(rng.Intn(len(adj)))
-					if len(adj[u]) == 0 {
-						continue
-					}
-					i := rng.Intn(len(adj[u]))
-					old := adj[u][i]
-					nv := int32(rng.Intn(len(adj)))
-					adj[u][i] = nv
-					record(1, u, old)
-					record(0, u, nv)
-				case 3: // grow: a new node with edges in both directions
+					record(u, v)
+				case 1: // grow: a new node with edges in both directions
 					nn := int32(len(adj))
 					adj = append(adj, nil)
 					for k := rng.Intn(3); k > 0; k-- {
 						v := int32(rng.Intn(len(adj)))
 						adj[nn] = append(adj[nn], v)
-						record(0, nn, v)
+						record(nn, v)
 					}
 					for k := rng.Intn(3); k > 0; k-- {
 						u := int32(rng.Intn(int(nn)))
 						adj[u] = append(adj[u], nn)
-						record(0, u, nn)
+						record(u, nn)
 					}
-				case 4: // dirty rewrite: drop edges unlisted, list insertions
-					u := int32(rng.Intn(len(adj)))
-					adj[u] = adj[u][:0]
-					for k := rng.Intn(3); k > 0; k-- {
-						v := int32(rng.Intn(len(adj)))
-						adj[u] = append(adj[u], v)
-						record(0, u, v)
-					}
-					edit.dirty = append(edit.dirty, u)
 				}
 			}
 
 			cond = updateCondensation(cond, oldN, len(adj),
 				func(u int) int { return len(adj[u]) },
 				func(u, i int) int { return int(adj[u][i]) },
-				edit,
+				inserted,
 			)
 			ctx := fmt.Sprintf("script %d step %d (n=%d)", script, step, len(adj))
 			checkCondConsistent(t, cond, len(adj), ctx)

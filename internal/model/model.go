@@ -106,6 +106,26 @@ func DiffLT(i, j, k int) ClockConstraint {
 	return ClockConstraint{I: i, J: j, Bound: dbm.LT(k)}
 }
 
+// CompareClocks is the normal form of the clock atom xi - xj op k (j = 0
+// for a single clock): the conjunction of difference constraints it
+// denotes. xi - xj != k is a disjunction and has none; test purposes build
+// it from < and >.
+func CompareClocks(i, j int, op expr.Op, k int) ([]ClockConstraint, error) {
+	switch op {
+	case expr.OpLt:
+		return []ClockConstraint{DiffLT(i, j, k)}, nil
+	case expr.OpLe:
+		return []ClockConstraint{DiffLE(i, j, k)}, nil
+	case expr.OpGt:
+		return []ClockConstraint{DiffLT(j, i, -k)}, nil
+	case expr.OpGe:
+		return []ClockConstraint{DiffLE(j, i, -k)}, nil
+	case expr.OpEq:
+		return []ClockConstraint{DiffLE(i, j, k), DiffLE(j, i, -k)}, nil
+	}
+	return nil, fmt.Errorf("!= on clocks is a disjunction, not a conjunction of bounds")
+}
+
 // String renders the constraint with clock names from sys.
 func (c ClockConstraint) String(sys *System) string {
 	name := func(i int) string {
@@ -217,6 +237,16 @@ func (s *System) AddClock(name string) int {
 	idx := len(s.Clocks)
 	s.Clocks = append(s.Clocks, Clock{Name: name, Index: idx})
 	return idx
+}
+
+// ClockByName finds a clock index; the reference clock has no name.
+func (s *System) ClockByName(name string) (int, bool) {
+	for _, c := range s.Clocks[1:] {
+		if c.Name == name {
+			return c.Index, true
+		}
+	}
+	return 0, false
 }
 
 // NumClocks returns the DBM dimension (clocks incl. reference).

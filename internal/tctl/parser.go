@@ -2,11 +2,8 @@ package tctl
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"unicode"
 
-	"tigatest/internal/dbm"
 	"tigatest/internal/expr"
 	"tigatest/internal/model"
 )
@@ -28,13 +25,23 @@ type ParseEnv struct {
 //
 // where φ admits `and/&&`, `or/||`, `not/!`, parentheses, location
 // predicates `Proc.Loc`, data comparisons, clock comparisons and
-// `forall/exists (i : Range) φ`.
+// `forall/exists (i : Range) φ`. Arithmetic, comparisons and clock atoms
+// are the grammar model files use (expr.Parser).
 func Parse(env *ParseEnv, input string) (*Formula, error) {
-	p := &parser{env: env, toks: lex(input), src: input}
+	toks := expr.Lex(input)
+	kept := toks[:0]
+	for _, t := range toks {
+		if t.Kind != expr.TokNewline {
+			kept = append(kept, t)
+		}
+	}
+	p := &parser{Parser: expr.Parser{Toks: kept}, env: env}
+	p.Resolve = p.resolve
 	f, err := p.parseFormula()
 	if err != nil {
-		return nil, fmt.Errorf("tctl: %w", err)
+		return nil, fmt.Errorf("tctl: %w at position %d", err, p.Cur().Pos)
 	}
+	f.Source = strings.TrimSpace(input)
 	return f, nil
 }
 
@@ -47,128 +54,52 @@ func MustParse(env *ParseEnv, input string) *Formula {
 	return f
 }
 
-// --- lexer ----------------------------------------------------------------
-
-type tokKind int
-
-const (
-	tokEOF tokKind = iota
-	tokIdent
-	tokNum
-	tokPunct // single or double punctuation
-)
-
-type token struct {
-	kind tokKind
-	text string
-	pos  int
-}
-
-func lex(s string) []token {
-	var toks []token
-	i := 0
-	for i < len(s) {
-		c := rune(s[i])
-		switch {
-		case unicode.IsSpace(c):
-			i++
-		case unicode.IsLetter(c) || c == '_':
-			j := i
-			for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_') {
-				j++
-			}
-			toks = append(toks, token{tokIdent, s[i:j], i})
-			i = j
-		case unicode.IsDigit(c):
-			j := i
-			for j < len(s) && unicode.IsDigit(rune(s[j])) {
-				j++
-			}
-			toks = append(toks, token{tokNum, s[i:j], i})
-			i = j
-		default:
-			two := ""
-			if i+1 < len(s) {
-				two = s[i : i+2]
-			}
-			switch two {
-			case "<>", "[]", "&&", "||", "==", "!=", "<=", ">=", "..":
-				toks = append(toks, token{tokPunct, two, i})
-				i += 2
-			default:
-				toks = append(toks, token{tokPunct, s[i : i+1], i})
-				i++
-			}
-		}
-	}
-	toks = append(toks, token{tokEOF, "", len(s)})
-	return toks
-}
-
-// --- parser ---------------------------------------------------------------
-
+// parser adds propositions, location atoms and quantifiers to the shared
+// expression grammar.
 type parser struct {
+	expr.Parser
 	env    *ParseEnv
-	toks   []token
-	pos    int
-	src    string
 	scopes []string // quantifier-bound names currently in scope
 }
 
-func (p *parser) inScope(name string) bool {
-	for _, s := range p.scopes {
-		if s == name {
-			return true
+// resolve finds a declared variable first, then a quantifier-bound name.
+func (p *parser) resolve(name string, idx expr.Expr) (expr.Expr, error) {
+	if _, ok := p.env.Sys.Vars.Lookup(name); ok {
+		return expr.NewVar(p.env.Sys.Vars, name, idx)
+	}
+	if idx == nil {
+		for _, s := range p.scopes {
+			if s == name {
+				return expr.Bound(name), nil
+			}
 		}
 	}
-	return false
-}
-
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-
-func (p *parser) accept(text string) bool {
-	if p.cur().text == text && p.cur().kind != tokEOF {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expect(text string) error {
-	if !p.accept(text) {
-		return fmt.Errorf("expected %q at position %d (got %q)", text, p.cur().pos, p.cur().text)
-	}
-	return nil
+	return nil, fmt.Errorf("unknown variable %q", name)
 }
 
 func (p *parser) parseFormula() (*Formula, error) {
-	if err := p.expect("control"); err != nil {
-		return nil, err
-	}
-	if err := p.expect(":"); err != nil {
-		return nil, err
-	}
-	if err := p.expect("A"); err != nil {
-		return nil, err
+	for _, kw := range []string{"control", ":", "A"} {
+		if err := p.Expect(kw); err != nil {
+			return nil, err
+		}
 	}
 	var obj Objective
 	switch {
-	case p.accept("<>"):
+	case p.Accept("<>"):
 		obj = Reach
-	case p.accept("[]"):
+	case p.Accept("[]"):
 		obj = Safety
 	default:
-		return nil, fmt.Errorf("expected <> or [] after A at position %d", p.cur().pos)
+		return nil, fmt.Errorf("expected <> or [] after A, got %s", p.Cur())
 	}
 	prop, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().kind != tokEOF {
-		return nil, fmt.Errorf("trailing input %q at position %d", p.cur().text, p.cur().pos)
+	if p.Cur().Kind != expr.TokEOF {
+		return nil, fmt.Errorf("trailing input %s", p.Cur())
 	}
-	return &Formula{Objective: obj, Prop: prop, Source: strings.TrimSpace(p.src)}, nil
+	return &Formula{Objective: obj, Prop: prop}, nil
 }
 
 func (p *parser) parseOr() (Prop, error) {
@@ -176,7 +107,7 @@ func (p *parser) parseOr() (Prop, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("or") || p.accept("||") {
+	for p.Accept("or") || p.Accept("||") {
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -191,7 +122,7 @@ func (p *parser) parseAnd() (Prop, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("and") || p.accept("&&") {
+	for p.Accept("and") || p.Accept("&&") {
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -202,366 +133,134 @@ func (p *parser) parseAnd() (Prop, error) {
 }
 
 func (p *parser) parseUnary() (Prop, error) {
-	if p.accept("not") || p.accept("!") {
+	if p.Accept("not") || p.Accept("!") {
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &PNot{E: e}, nil
 	}
-	if p.cur().text == "forall" || p.cur().text == "exists" {
+	if p.Cur().Text == "forall" || p.Cur().Text == "exists" {
 		return p.parseQuant()
 	}
 	return p.parseAtom()
 }
 
 func (p *parser) parseQuant() (Prop, error) {
-	forall := p.next().text == "forall"
-	if err := p.expect("("); err != nil {
+	forall := p.Next().Text == "forall"
+	if err := p.Expect("("); err != nil {
 		return nil, err
 	}
-	name := p.cur()
-	if name.kind != tokIdent {
-		return nil, fmt.Errorf("expected quantifier variable at position %d", name.pos)
+	name, err := p.Name()
+	if err != nil {
+		return nil, err
 	}
-	p.pos++
-	if err := p.expect(":"); err != nil {
+	if strings.Contains(name, ".") {
+		return nil, fmt.Errorf("quantifier variable %q must not be dotted", name)
+	}
+	if err := p.Expect(":"); err != nil {
 		return nil, err
 	}
 	var lo, hi int
-	if p.cur().kind == tokNum {
-		lo64, _ := strconv.Atoi(p.next().text)
-		lo = lo64
-		if err := p.expect(".."); err != nil {
-			return nil, err
-		}
-		if p.cur().kind != tokNum {
-			return nil, fmt.Errorf("expected range upper bound at position %d", p.cur().pos)
-		}
-		hi64, _ := strconv.Atoi(p.next().text)
-		hi = hi64
-	} else if p.cur().kind == tokIdent {
-		rname := p.next().text
-		r, ok := p.env.Ranges[rname]
+	if p.Cur().Kind == expr.TokIdent {
+		r, ok := p.env.Ranges[p.Cur().Text]
 		if !ok {
-			return nil, fmt.Errorf("unknown range %q at position %d", rname, p.cur().pos)
+			return nil, fmt.Errorf("unknown range %q", p.Cur().Text)
 		}
+		p.Pos++
 		lo, hi = r.Lo, r.Hi
-	} else {
-		return nil, fmt.Errorf("expected range at position %d", p.cur().pos)
-	}
-	if err := p.expect(")"); err != nil {
+	} else if lo, hi, err = p.Span(); err != nil {
 		return nil, err
 	}
-	p.scopes = append(p.scopes, name.text)
+	if err := p.Expect(")"); err != nil {
+		return nil, err
+	}
+	p.scopes = append(p.scopes, name)
 	body, err := p.parseUnary()
 	p.scopes = p.scopes[:len(p.scopes)-1]
 	if err != nil {
 		return nil, err
 	}
-	return &PQuant{ForAll: forall, Name: name.text, Lo: lo, Hi: hi, Body: body}, nil
+	return &PQuant{ForAll: forall, Name: name, Lo: lo, Hi: hi, Body: body}, nil
 }
 
-// parseAtom handles parenthesized propositions, location predicates and
-// comparisons (data or clock).
+// parseAtom handles parenthesized propositions, location predicates, clock
+// atoms and data comparisons.
 func (p *parser) parseAtom() (Prop, error) {
-	if p.accept("(") {
+	// A parenthesis opens a proposition unless an operator follows its
+	// close: then it was an arithmetic operand, as in (a + 1) == 2.
+	if start := p.Pos; p.Accept("(") {
 		e, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.Expect(")"); err != nil {
 			return nil, err
 		}
-		return e, nil
-	}
-	// Location predicate: Proc.Loc not followed by a comparison operator.
-	if p.cur().kind == tokIdent {
-		if prop, ok, err := p.tryLocation(); err != nil {
-			return nil, err
-		} else if ok {
-			return prop, nil
+		if !expr.IsOperator(p.Cur()) {
+			return e, nil
 		}
+		p.Pos = start
 	}
-	return p.parseComparison()
+	if prop, ok := p.location(); ok {
+		return prop, nil
+	}
+	a, ok, err := p.ClockAtom(p.env.Sys.ClockByName)
+	switch {
+	case err != nil:
+		return nil, err
+	case ok:
+		return clockProp(a.I, a.J, a.Op, a.K)
+	}
+	e, err := p.Comparison()
+	if err != nil {
+		return nil, err
+	}
+	return &PData{E: e}, nil
 }
 
-// tryLocation attempts to parse `Proc.Loc`; it backtracks when the dotted
-// pair is not a location reference.
-func (p *parser) tryLocation() (Prop, bool, error) {
-	save := p.pos
-	procName := p.next().text
-	if !p.accept(".") {
-		p.pos = save
-		return nil, false, nil
+// location parses `Proc.Loc` when the current token names a location and
+// is not an operand (a dotted variable may share the name).
+func (p *parser) location() (Prop, bool) {
+	t := p.Cur()
+	if t.Kind != expr.TokIdent {
+		return nil, false
 	}
-	if p.cur().kind != tokIdent {
-		p.pos = save
-		return nil, false, nil
+	procName, locName, dotted := strings.Cut(t.Text, ".")
+	if !dotted {
+		return nil, false
 	}
-	locName := p.next().text
 	pi, ok := p.env.Sys.ProcByName(procName)
 	if !ok {
-		p.pos = save
-		return nil, false, nil
+		return nil, false
 	}
 	li, ok := p.env.Sys.Procs[pi].LocByName(locName)
 	if !ok {
-		// Could be a dotted variable name (Proc.var); backtrack.
-		p.pos = save
-		return nil, false, nil
+		return nil, false
 	}
-	// A location predicate must not be part of a comparison.
-	switch p.cur().text {
-	case "==", "!=", "<", "<=", ">", ">=":
-		p.pos = save
-		return nil, false, nil
+	if expr.IsOperator(p.Toks[p.Pos+1]) {
+		return nil, false
 	}
-	return &PLoc{Proc: pi, Loc: li, name: procName + "." + locName}, true, nil
+	p.Pos++
+	return &PLoc{Proc: pi, Loc: li, name: t.Text}, true
 }
 
-// parseComparison parses `lhs op rhs`. When either side references a clock,
-// the atom must have the shape clock ~ const or clock - clock ~ const.
-func (p *parser) parseComparison() (Prop, error) {
-	lhs, lClocks, err := p.parseSum()
+// clockProp builds the atom xi - xj op k (j may be 0) from the clock
+// normal form; != becomes the disjunction of the two strict bounds.
+func clockProp(i, j int, op expr.Op, k int) (Prop, error) {
+	if op == expr.OpNe {
+		// < and > always have a normal form.
+		l, _ := clockProp(i, j, expr.OpLt, k)
+		r, _ := clockProp(i, j, expr.OpGt, k)
+		return &POr{L: l, R: r}, nil
+	}
+	cs, err := model.CompareClocks(i, j, op, k)
 	if err != nil {
 		return nil, err
 	}
-	opTok := p.cur().text
-	var op expr.Op
-	switch opTok {
-	case "==":
-		op = expr.OpEq
-	case "!=":
-		op = expr.OpNe
-	case "<":
-		op = expr.OpLt
-	case "<=":
-		op = expr.OpLe
-	case ">":
-		op = expr.OpGt
-	case ">=":
-		op = expr.OpGe
-	default:
-		// Bare boolean data expression.
-		if lClocks != nil {
-			return nil, fmt.Errorf("clock expression needs a comparison at position %d", p.cur().pos)
-		}
-		return &PData{E: lhs}, nil
+	var prop Prop = &PClock{C: cs[0]}
+	for _, c := range cs[1:] {
+		prop = &PAnd{L: prop, R: &PClock{C: c}}
 	}
-	p.pos++
-	rhs, rClocks, err := p.parseSum()
-	if err != nil {
-		return nil, err
-	}
-	if lClocks == nil && rClocks == nil {
-		return &PData{E: expr.NewBin(op, lhs, rhs)}, nil
-	}
-	// Clock atom: normalize to clockExpr ~ k.
-	if rClocks != nil {
-		return nil, fmt.Errorf("clock must be on the left of the comparison near position %d", p.cur().pos)
-	}
-	k, ok := constValue(rhs)
-	if !ok {
-		return nil, fmt.Errorf("clock comparison needs a constant right-hand side near position %d", p.cur().pos)
-	}
-	return clockAtom(lClocks, op, k)
-}
-
-// clockRef is (i, j) for xi - xj; j==0 for a single clock.
-type clockRef struct{ i, j int }
-
-// parseSum parses an additive data expression OR a clock reference
-// (clock or clock - clock). It returns a non-nil clockRef when the term is
-// a clock expression.
-func (p *parser) parseSum() (expr.Expr, *clockRef, error) {
-	// Clock detection: identifier naming a clock.
-	if p.cur().kind == tokIdent {
-		if ci, ok := p.clockByName(p.cur().text); ok {
-			p.pos++
-			if p.accept("-") {
-				if p.cur().kind != tokIdent {
-					return nil, nil, fmt.Errorf("expected clock after '-' at position %d", p.cur().pos)
-				}
-				cj, ok := p.clockByName(p.cur().text)
-				if !ok {
-					return nil, nil, fmt.Errorf("clock difference needs two clocks at position %d", p.cur().pos)
-				}
-				p.pos++
-				return nil, &clockRef{ci, cj}, nil
-			}
-			return nil, &clockRef{ci, 0}, nil
-		}
-	}
-	l, err := p.parseTerm()
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		switch {
-		case p.accept("+"):
-			r, err := p.parseTerm()
-			if err != nil {
-				return nil, nil, err
-			}
-			l = expr.NewBin(expr.OpAdd, l, r)
-		case p.accept("-"):
-			r, err := p.parseTerm()
-			if err != nil {
-				return nil, nil, err
-			}
-			l = expr.NewBin(expr.OpSub, l, r)
-		default:
-			return l, nil, nil
-		}
-	}
-}
-
-func (p *parser) parseTerm() (expr.Expr, error) {
-	l, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept("*"):
-			r, err := p.parsePrimary()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpMul, l, r)
-		case p.accept("/"):
-			r, err := p.parsePrimary()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpDiv, l, r)
-		case p.accept("%"):
-			r, err := p.parsePrimary()
-			if err != nil {
-				return nil, err
-			}
-			l = expr.NewBin(expr.OpMod, l, r)
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) parsePrimary() (expr.Expr, error) {
-	t := p.cur()
-	switch {
-	case t.kind == tokNum:
-		p.pos++
-		v, err := strconv.Atoi(t.text)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Lit(v), nil
-	case t.text == "-":
-		p.pos++
-		e, err := p.parsePrimary()
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewBin(expr.OpSub, expr.Lit(0), e), nil
-	case t.text == "(":
-		p.pos++
-		e, _, err := p.parseSum()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.kind == tokIdent:
-		p.pos++
-		name := t.text
-		// Dotted variable names ("IUT.betterInfo").
-		if p.accept(".") {
-			if p.cur().kind != tokIdent {
-				return nil, fmt.Errorf("expected identifier after '.' at position %d", p.cur().pos)
-			}
-			name = name + "." + p.next().text
-		}
-		// Array index?
-		var idx expr.Expr
-		if p.accept("[") {
-			var err error
-			idx, _, err = p.parseSum()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-		}
-		if _, ok := p.env.Sys.Vars.Lookup(name); ok {
-			return expr.NewVar(p.env.Sys.Vars, name, idx)
-		}
-		if idx == nil && !strings.Contains(name, ".") && p.inScope(name) {
-			// Quantifier-bound name.
-			return expr.Bound(name), nil
-		}
-		return nil, fmt.Errorf("unknown variable %q at position %d", name, t.pos)
-	}
-	return nil, fmt.Errorf("unexpected token %q at position %d", t.text, t.pos)
-}
-
-func (p *parser) clockByName(name string) (int, bool) {
-	for _, c := range p.env.Sys.Clocks[1:] {
-		if c.Name == name {
-			return c.Index, true
-		}
-	}
-	return 0, false
-}
-
-func constValue(e expr.Expr) (int, bool) {
-	switch v := e.(type) {
-	case expr.Lit:
-		return int(v), true
-	case *expr.Bin:
-		l, lok := constValue(v.L)
-		r, rok := constValue(v.R)
-		if !lok || !rok {
-			return 0, false
-		}
-		switch v.Op {
-		case expr.OpAdd:
-			return l + r, true
-		case expr.OpSub:
-			return l - r, true
-		case expr.OpMul:
-			return l * r, true
-		}
-	}
-	return 0, false
-}
-
-// clockAtom builds the Prop for `xi - xj op k` (j may be 0).
-func clockAtom(c *clockRef, op expr.Op, k int) (Prop, error) {
-	mk := func(cc model.ClockConstraint) Prop { return &PClock{C: cc} }
-	switch op {
-	case expr.OpLt:
-		return mk(model.ClockConstraint{I: c.i, J: c.j, Bound: dbm.LT(k)}), nil
-	case expr.OpLe:
-		return mk(model.ClockConstraint{I: c.i, J: c.j, Bound: dbm.LE(k)}), nil
-	case expr.OpGt:
-		return mk(model.ClockConstraint{I: c.j, J: c.i, Bound: dbm.LT(-k)}), nil
-	case expr.OpGe:
-		return mk(model.ClockConstraint{I: c.j, J: c.i, Bound: dbm.LE(-k)}), nil
-	case expr.OpEq:
-		return &PAnd{
-			L: mk(model.ClockConstraint{I: c.i, J: c.j, Bound: dbm.LE(k)}),
-			R: mk(model.ClockConstraint{I: c.j, J: c.i, Bound: dbm.LE(-k)}),
-		}, nil
-	case expr.OpNe:
-		return &POr{
-			L: mk(model.ClockConstraint{I: c.i, J: c.j, Bound: dbm.LT(k)}),
-			R: mk(model.ClockConstraint{I: c.j, J: c.i, Bound: dbm.LT(-k)}),
-		}, nil
-	}
-	return nil, fmt.Errorf("unsupported clock comparison")
+	return prop, nil
 }
