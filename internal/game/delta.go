@@ -174,6 +174,14 @@ func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.F
 // machinery still eliminates the mutant's exploration cost, which dominates.
 // Under Options.DisableIncremental the overlay is split from the cold
 // merged-maxima mutant skeleton instead — identical graph, identical result.
+//
+// The solve answers a verdict, not a fixpoint: its worklist always runs
+// with EarlyTermination and stops once the initial state is decided, as
+// mutant analysis reads nothing else. Winnable, Stats.Nodes and
+// Stats.Transitions are exact; Win is a sound under-approximation of the
+// winning sets; Strategy, when the purpose is winnable, wins from the
+// initial state. The incremental and cold forms run the same schedule on
+// the same overlay graph, so they stop at the same update.
 func (b *Batch) SolveDeltaEdgeGhost(inst, mut *model.System, es *model.EditSet, formula *tctl.Formula, edgeID int, coop bool) (*Result, error) {
 	if formula.Objective != tctl.Reach {
 		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
@@ -182,6 +190,7 @@ func (b *Batch) SolveDeltaEdgeGhost(inst, mut *model.System, es *model.EditSet, 
 		return nil, fmt.Errorf("game: delta ghost overlay: instrumented system does not match the mutant")
 	}
 	s := b.newSolver(inst, formula, coop)
+	s.opts.EarlyTermination = true
 
 	max := mergedMaxima(b.sys, mut, formula.ClockConstraints())
 	dsk, sig, hit, err := b.deltaSkeleton(mut, es, formula, max, &s.stats)

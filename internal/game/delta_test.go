@@ -7,6 +7,7 @@
 package game
 
 import (
+	"fmt"
 	"testing"
 
 	"tigatest/internal/expr"
@@ -165,6 +166,66 @@ func TestDeltaEdgeGhostMatchesCold(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDeltaEdgeGhostVerdictMatchesReference pins the verdict contract of
+// the edge-ghost re-solve, which stops once the initial state is decided:
+// for every valid Smart Light mutant, every plant edge and both games, its
+// Winnable must equal a complete backward solve of the instrumented mutant,
+// and a winnable result's strategy must decide a move at the initial
+// valuation.
+func TestDeltaEdgeGhostVerdictMatchesReference(t *testing.T) {
+	sys := models.SmartLight()
+	plant := models.SmartLightPlant(sys)
+	muts := mutate.All(sys, plant, 1)
+	if len(muts) == 0 {
+		t.Fatal("no mutants generated")
+	}
+	b, err := NewBatch(sys, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves, winnable := 0, 0
+	for _, m := range muts {
+		if m.Sys.Validate() != nil {
+			continue
+		}
+		es, err := model.Diff(sys, m.Sys)
+		if err != nil {
+			t.Fatalf("%s: diff: %v", m.Description, err)
+		}
+		for _, p := range plant {
+			for _, e := range m.Sys.Procs[p].Edges {
+				inst, gf := instrumentForTest(t, m.Sys, e.ID)
+				for _, coop := range []bool{false, true} {
+					ctx := fmt.Sprintf("%s edge %d coop=%v", m.Description, e.ID, coop)
+					r, err := b.SolveDeltaEdgeGhost(inst, m.Sys, es, gf, e.ID, coop)
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					ref, err := Solve(inst, gf, Options{Algorithm: Backward, PropagationWorkers: 1, TreatAllControllable: coop})
+					if err != nil {
+						t.Fatalf("%s: reference solve: %v", ctx, err)
+					}
+					if r.Winnable != ref.Winnable {
+						t.Fatalf("%s: winnable=%v, complete solve winnable=%v", ctx, r.Winnable, ref.Winnable)
+					}
+					solves++
+					if !r.Winnable {
+						continue
+					}
+					winnable++
+					c := r.Consultant()
+					if _, err := c.MoveAt(c.InitialNode(), make([]int64, inst.NumClocks()-1), tick, 0); err != nil {
+						t.Fatalf("%s: no move at the initial valuation: %v", ctx, err)
+					}
+				}
+			}
+		}
+	}
+	if winnable == 0 || winnable == solves {
+		t.Fatalf("%d of %d solves winnable: both verdicts must be exercised", winnable, solves)
 	}
 }
 

@@ -180,6 +180,9 @@ type Result struct {
 	Strategy *Strategy // non-nil for winnable reachability (and cooperative) games
 	// Win maps node ids to winning sub-federations (reachability); for
 	// safety objectives it holds the LOSING sets of the dual game instead.
+	// A solve that stopped at the verdict (Options.EarlyTermination,
+	// Batch.SolveDeltaEdgeGhost) leaves sound under-approximations of
+	// these sets: every point listed belongs, not every point is listed.
 	Win   map[int]*dbm.Federation
 	Stats Stats
 
@@ -500,6 +503,17 @@ func (s *solver) reevalCore(n *node, st *Stats) *dbm.Federation {
 	st.Reevals++
 
 	dim := s.sys.NumClocks()
+	// Goal-covered node (nodeGoal, solveOnSkeleton and solveOnDelta share
+	// zoneFed for an all-covering goal, so identity detects it): the union
+	// with the goal below would discard every predecessor, forcing and
+	// PredT result. Z is one zone containing all of w, so inclusion
+	// reduction leaves exactly the goal's decomposition either way; the
+	// first delta is the goal, built without reading a successor.
+	if n.goal == n.zoneFed && n.win.IsEmpty() {
+		delta := dbm.NewFederation(dim)
+		delta.Union(n.goal)
+		return delta
+	}
 	// good shares zone pointers with n.goal and n.win — PredT never mutates
 	// its inputs, so the former deep clone per reeval is unnecessary.
 	good := dbm.NewFederation(dim)

@@ -473,3 +473,46 @@ func TestObsOverheadBound(t *testing.T) {
 		t.Errorf("observability overhead too high: on=%v off=%v", on, off)
 	}
 }
+
+// TestCompileSkipsMutantAnalysis: with observability on, the service
+// compiles eagerly only the strategies a client may fetch. A campaign's
+// mutant-analysis re-solves (edit-keyed) are read for their verdict alone,
+// so the compile histogram counts exactly the winnable solves whose key
+// carries no edits.
+func TestCompileSkipsMutantAnalysis(t *testing.T) {
+	s := startService(t, Options{})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Campaign(Request{Model: "smartlight", Mutants: 4, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	plain, edited := 0, 0
+	s.cache.mu.Lock()
+	for k, e := range s.cache.entries {
+		if e.err != nil || e.res == nil || !e.res.Winnable {
+			continue
+		}
+		if k.edits == 0 {
+			plain++
+		} else {
+			edited++
+		}
+	}
+	s.cache.mu.Unlock()
+	if plain == 0 || edited == 0 {
+		t.Fatalf("campaign cached %d plain and %d edit-keyed winnable solves; both must be exercised", plain, edited)
+	}
+	for _, snap := range s.HistogramSnapshots() {
+		if snap.Name == "tigad_compile_duration_seconds" {
+			if snap.Count != int64(plain) {
+				t.Errorf("compile histogram counts %d compilations, want %d (winnable solves without edits; %d edit-keyed skipped)",
+					snap.Count, plain, edited)
+			}
+			return
+		}
+	}
+	t.Fatal("compile histogram missing")
+}

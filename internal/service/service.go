@@ -351,7 +351,8 @@ func (s *Service) noteSolve(st game.Stats) {
 // compile span and observes the compilation cost. Only called with
 // observability enabled, from the solve closure that produced res, so
 // every Result is observed at most once (CompiledStrategy itself compiles
-// once and caches). With observability disabled compilation stays lazy,
+// once and caches), and never for mutant-analysis solves, whose strategies
+// nobody consults. With observability disabled compilation stays lazy,
 // exactly as before.
 func (s *Service) noteCompile(res *game.Result, ctx obs.SpanContext) {
 	if s.obs == nil || res == nil || !res.Winnable {
@@ -410,7 +411,10 @@ func (s *Service) cachedSolve(me *modelEntry, key cacheKey, done <-chan struct{}
 			sp.SetErr(err.Error())
 		}
 		sp.End()
-		if err == nil {
+		// A mutant-analysis solve (edit-keyed) is read for its verdict
+		// only: its strategy is never fetched or executed, so compiling it
+		// here would only lengthen the model's critical section.
+		if err == nil && key.edits == 0 {
 			s.noteCompile(res, tctx)
 		}
 		return res, err
