@@ -3,12 +3,13 @@
 // suite purpose is re-solved on the mutant through the batch's delta path
 // (game.Batch.SolveDelta / SolveDeltaEdgeGhost) — clean states replay from
 // the shared core skeleton, only the mutation's dirty cone is re-explored,
-// and the backward fixpoint re-runs only from the dirty components (edge
-// goals stop as soon as the initial state's verdict is known). The
-// verdict — which purposes the mutant loses, and the analysis graph sizes —
-// is deterministic (identical for every worker count and for the
-// game.Options.DisableIncremental ablation, which re-explores the same
-// merged-maxima graph cold), so it lives in the canonical report.
+// and the backward fixpoint re-runs only from the dirty components. Every
+// re-solve, location and edge goal alike, stops as soon as the initial
+// state's verdict is known. The verdict — which purposes the mutant loses,
+// and the analysis graph sizes — is deterministic (identical for every
+// worker count and for the game.Options.DisableIncremental ablation, which
+// re-explores the same merged-maxima graph cold), so it lives in the
+// canonical report.
 
 package campaign
 

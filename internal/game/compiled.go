@@ -101,17 +101,48 @@ type delayZone struct {
 	lows []axisCon
 }
 
+// makeProbe flattens f in two passes: the first counts the finite
+// constraints by kind, so the second fills one backing array shared by cons
+// and every zone's diff list and one shared by every zone's ups and lows.
+// Compile flattens every row of every node, so per-constraint slice growth
+// here would be its allocation hot spot.
 func makeProbe(f *dbm.Federation) probe {
 	var p probe
 	if f == nil {
 		return p
 	}
 	zs := f.Zones()
-	p.zoff = make([]int32, 1, len(zs)+1)
-	p.dz = make([]delayZone, 0, len(zs))
+	nDiff, nAxis := 0, 0
 	for _, z := range zs {
 		dim := z.Dim()
-		var dzone delayZone
+		for i := 0; i < dim; i++ {
+			for j := 0; j < dim; j++ {
+				if i == j || z.At(i, j) == dbm.Infinity {
+					continue
+				}
+				if i > 0 && j > 0 {
+					nDiff++
+				} else {
+					nAxis++
+				}
+			}
+		}
+	}
+	var diffs []probeCon
+	if n := nDiff + nAxis; n > 0 {
+		buf := make([]probeCon, n+nDiff)
+		p.cons, diffs = buf[:0:n], buf[n:n]
+	}
+	axes := make([]axisCon, 0, nAxis)
+	p.zoff = make([]int32, 1, len(zs)+1)
+	p.dz = make([]delayZone, len(zs))
+	for zi, z := range zs {
+		dim := z.Dim()
+		dz := &p.dz[zi]
+		d0 := len(diffs)
+		// Row-major order interleaves the kinds, so the reference bounds
+		// are swept separately below: column 0 gives the ups, row 0 the
+		// lows, each contiguous in axes and in the row-major scan's order.
 		for i := 0; i < dim; i++ {
 			for j := 0; j < dim; j++ {
 				if i == j {
@@ -122,18 +153,27 @@ func makeProbe(f *dbm.Federation) probe {
 					continue
 				}
 				p.cons = append(p.cons, probeCon{int16(i), int16(j), b})
-				switch {
-				case i > 0 && j > 0:
-					dzone.diff = append(dzone.diff, probeCon{int16(i), int16(j), b})
-				case j == 0:
-					dzone.ups = append(dzone.ups, axisCon{int16(i), b})
-				default:
-					dzone.lows = append(dzone.lows, axisCon{int16(j), b})
+				if i > 0 && j > 0 {
+					diffs = append(diffs, probeCon{int16(i), int16(j), b})
 				}
 			}
 		}
+		dz.diff = diffs[d0:len(diffs):len(diffs)]
+		u0 := len(axes)
+		for i := 1; i < dim; i++ {
+			if b := z.At(i, 0); b != dbm.Infinity {
+				axes = append(axes, axisCon{int16(i), b})
+			}
+		}
+		dz.ups = axes[u0:len(axes):len(axes)]
+		l0 := len(axes)
+		for j := 1; j < dim; j++ {
+			if b := z.At(0, j); b != dbm.Infinity {
+				axes = append(axes, axisCon{int16(j), b})
+			}
+		}
+		dz.lows = axes[l0:len(axes):len(axes)]
 		p.zoff = append(p.zoff, int32(len(p.cons)))
-		p.dz = append(p.dz, dzone)
 	}
 	return p
 }

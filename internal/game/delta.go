@@ -23,7 +23,9 @@
 //     dirty cone — the predecessor closure of the dirty states. The cone is
 //     pred-closed, so everything outside it forms a successor-closed
 //     subgraph isomorphic to its base counterpart, where the cached base
-//     fixpoint values are already final and are shared by reference.
+//     fixpoint values are already final and are shared by reference. The
+//     cone worklist stops once the initial state is decided: mutant
+//     analysis reads the verdict, not the winning sets (see SolveDelta).
 //
 // Both systems are explored under the pointwise maximum of the base and
 // mutant extrapolation constants, so the clean region's zones agree exactly
@@ -128,6 +130,15 @@ func mergedMaxima(base, mut *model.System, cc []model.ClockConstraint) []int {
 // relies on). Winnability, node and transition counts are identical to a
 // cold solve of the mutant under the merged extrapolation maxima — which is
 // exactly what the Options.DisableIncremental ablation runs instead.
+//
+// Like SolveDeltaEdgeGhost, the solve answers a verdict, not a fixpoint:
+// the cone worklist (and the ablation's full worklist) always runs with
+// EarlyTermination and stops once the initial state is decided, as mutant
+// analysis reads nothing else. Winnable, Stats.Nodes and Stats.Transitions
+// are exact; Win is a sound under-approximation of the winning sets;
+// Strategy, when the purpose is winnable, wins from the initial state. The
+// two arms run different schedules, so they may stop at different updates:
+// their verdicts and counts agree, their partial Win sets need not.
 func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.Formula, coop bool) (*Result, error) {
 	if formula.Objective != tctl.Reach {
 		return nil, fmt.Errorf("game: batch solving supports reachability purposes only, got %s", formula.Objective)
@@ -142,6 +153,7 @@ func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.F
 		return nil, err
 	}
 	s := b.newSolver(mut, formula, coop)
+	s.opts.EarlyTermination = true
 
 	max := mergedMaxima(b.sys, mut, formula.ClockConstraints())
 	dsk, _, hit, err := b.deltaSkeleton(mut, es, formula, max, &s.stats)
@@ -154,8 +166,8 @@ func (b *Batch) SolveDelta(mut *model.System, es *model.EditSet, formula *tctl.F
 		s.stats.SkeletonMisses++
 	}
 	if dsk.dirty == nil {
-		// Cold-built skeleton (the E10 ablation, or a cached one): the
-		// ordinary full fixpoint. Same graph either way, so results match.
+		// Cold-built skeleton (the E10 ablation): the ordinary fixpoint over
+		// the whole graph. Same graph either way, so verdicts match.
 		return s.solveOnSkeleton(dsk.sk)
 	}
 	fix, err := b.baseFixpoint(formula, coop, max)
@@ -764,7 +776,7 @@ func (s *solver) solveOnDelta(dsk *deltaSkeleton, fix *baseFix) (*Result, error)
 				goal:     goal,
 				succs:    o.succs,
 				preds:    o.preds,
-				win:      dbm.NewFederation(o.st.Zone.Dim()),
+				win:      s.noWin,
 				explored: true,
 			}
 		}

@@ -20,7 +20,8 @@ import (
 // iteration with the timer stopped — the warm-up campaign planning
 // performs before its mutant loop — so the timed region is exactly the
 // per-mutant marginal cost the feature claims to cut: delta replay plus
-// cone fixpoint against cold exploration plus full fixpoint.
+// cone fixpoint against cold exploration plus whole-graph fixpoint, both
+// fixpoints stopping at the initial verdict as SolveDelta does.
 //
 // The family is drawn from the regime the delta path is built for and
 // documents (delta.go): mutants that preserve the extrapolation signature

@@ -1,8 +1,8 @@
 // Differential tests for the incremental mutant re-solve (delta.go): for
 // every mutation operator, the dirty-cone solve must agree with the E10
 // cold path (same merged-maxima graph: identical node and transition
-// counts, semantically equal winning sets) and with an independent solve of
-// the mutant (winnability).
+// counts, and semantically equal winning sets once both run to the complete
+// fixpoint) and with an independent solve of the mutant (winnability).
 
 package game
 
@@ -19,8 +19,10 @@ import (
 
 // TestDeltaSolveMatchesCold drives SolveDelta across the built-in models,
 // every applicable mutation operator, both games and both engine schedules,
-// comparing the incremental path against the DisableIncremental ablation
-// node for node.
+// comparing the incremental path against the DisableIncremental ablation:
+// verdicts and counts of the verdict-only solves SolveDelta returns, and
+// node for node the winning sets of both arms run to the complete fixpoint
+// (completeDeltaSolves).
 func TestDeltaSolveMatchesCold(t *testing.T) {
 	for _, mn := range []string{"smartlight", "traingate"} {
 		sys, env, plant, goalSrc, err := models.ByName(mn, 2)
@@ -75,12 +77,17 @@ func TestDeltaSolveMatchesCold(t *testing.T) {
 						t.Fatalf("%s coop=%v workers=%d: incremental graph %d/%d, cold graph %d/%d",
 							ctx, coop, workers, ri.Stats.Nodes, ri.Stats.Transitions, rc.Stats.Nodes, rc.Stats.Transitions)
 					}
-					if len(ri.Win) != len(rc.Win) {
-						t.Fatalf("%s coop=%v workers=%d: win map sizes %d vs %d",
-							ctx, coop, workers, len(ri.Win), len(rc.Win))
+					fi, fc := completeDeltaSolves(t, inc, cold, m.Sys, es, f, coop)
+					if fi.Winnable != ri.Winnable || fc.Winnable != ri.Winnable {
+						t.Fatalf("%s coop=%v workers=%d: complete incremental/cold winnable=%v/%v, verdict-only %v",
+							ctx, coop, workers, fi.Winnable, fc.Winnable, ri.Winnable)
 					}
-					for id, w := range rc.Win {
-						if !ri.Win[id].Equals(w) {
+					if len(fi.Win) != len(fc.Win) {
+						t.Fatalf("%s coop=%v workers=%d: win map sizes %d vs %d",
+							ctx, coop, workers, len(fi.Win), len(fc.Win))
+					}
+					for id, w := range fc.Win {
+						if !fi.Win[id].Equals(w) {
 							t.Fatalf("%s coop=%v workers=%d: winning set of node %d differs",
 								ctx, coop, workers, id)
 						}
@@ -108,6 +115,134 @@ func TestDeltaSolveMatchesCold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeltaSolveVerdictMatchesReference pins the verdict contract of the
+// location re-solve, which stops once the initial state is decided: for
+// Smart Light, Train-Gate and LEP n=3, every valid mutant, the model's goal
+// plus two location-coverage purposes and both games, the incremental and
+// the cold SolveDelta must report the verdict of a complete backward solve
+// of the mutant and the same graph counts; every winning set they report
+// must lie within the complete fixpoint's; and a winnable result's
+// strategy must decide a move at the initial valuation.
+func TestDeltaSolveVerdictMatchesReference(t *testing.T) {
+	solves, winnable := 0, 0
+	for _, mn := range []string{"smartlight", "traingate", "lep"} {
+		sys, env, plant, goalSrc, err := models.ByName(mn, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := sys.Procs[plant[0]]
+		purposes := []*tctl.Formula{tctl.MustParse(env, goalSrc)}
+		for _, l := range []int{len(p.Locations) / 2, len(p.Locations) - 1} {
+			purposes = append(purposes, tctl.MustParse(env, fmt.Sprintf("control: A<> %s.%s", p.Name, p.Locations[l].Name)))
+		}
+		inc, err := NewBatch(sys, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := NewBatch(sys, Options{Workers: 1, DisableIncremental: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mutate.All(sys, plant, 2) {
+			if m.Sys.Validate() != nil {
+				continue
+			}
+			es, err := model.Diff(sys, m.Sys)
+			if err != nil {
+				t.Fatalf("%s %s: diff: %v", mn, m.Description, err)
+			}
+			for _, f := range purposes {
+				for _, coop := range []bool{false, true} {
+					ctx := fmt.Sprintf("%s %s %q coop=%v", mn, m.Description, f.Source, coop)
+					ri, err := inc.SolveDelta(m.Sys, es, f, coop)
+					if err != nil {
+						t.Fatalf("%s: incremental: %v", ctx, err)
+					}
+					rc, err := cold.SolveDelta(m.Sys, es, f, coop)
+					if err != nil {
+						t.Fatalf("%s: cold: %v", ctx, err)
+					}
+					ref, err := Solve(m.Sys, f, Options{Algorithm: Backward, PropagationWorkers: 1, TreatAllControllable: coop})
+					if err != nil {
+						t.Fatalf("%s: reference solve: %v", ctx, err)
+					}
+					if ri.Winnable != ref.Winnable || rc.Winnable != ref.Winnable {
+						t.Fatalf("%s: incremental/cold winnable=%v/%v, complete solve winnable=%v", ctx, ri.Winnable, rc.Winnable, ref.Winnable)
+					}
+					if ri.Stats.Nodes != rc.Stats.Nodes || ri.Stats.Transitions != rc.Stats.Transitions {
+						t.Fatalf("%s: incremental graph %d/%d, cold graph %d/%d",
+							ctx, ri.Stats.Nodes, ri.Stats.Transitions, rc.Stats.Nodes, rc.Stats.Transitions)
+					}
+					_, full := completeDeltaSolves(t, inc, cold, m.Sys, es, f, coop)
+					for _, r := range []*Result{ri, rc} {
+						for id, w := range r.Win {
+							if !w.SubsetOf(full.Win[id]) {
+								t.Fatalf("%s: winning set of node %d exceeds the complete fixpoint's", ctx, id)
+							}
+						}
+						if !r.Winnable {
+							continue
+						}
+						c := r.Consultant()
+						if _, err := c.MoveAt(c.InitialNode(), make([]int64, m.Sys.NumClocks()-1), tick, 0); err != nil {
+							t.Fatalf("%s: no move at the initial valuation: %v", ctx, err)
+						}
+					}
+					solves++
+					if ri.Winnable {
+						winnable++
+					}
+				}
+			}
+		}
+	}
+	if winnable == 0 || winnable == solves {
+		t.Fatalf("%d of %d solves winnable: both verdicts must be exercised", winnable, solves)
+	}
+	t.Logf("%d mutant solves, %d winnable", solves, winnable)
+}
+
+// completeDeltaSolves re-solves a mutant to the complete fixpoint on both
+// arms, built from the pieces SolveDelta runs with EarlyTermination left
+// off: the dirty-cone solve over inc's replayed skeleton and cached base
+// fixpoint, and the whole-graph solve over cold's merged-maxima skeleton.
+// Both share the graph numbering of SolveDelta's results on their batch.
+func completeDeltaSolves(t *testing.T, inc, cold *Batch, mut *model.System, es *model.EditSet, f *tctl.Formula, coop bool) (ri, rc *Result) {
+	t.Helper()
+	max := mergedMaxima(inc.sys, mut, f.ClockConstraints())
+	var st Stats
+	dsk, _, _, err := inc.deltaSkeleton(mut, es, f, max, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dsk.dirty == nil {
+		t.Fatal("incremental batch holds a cold-built mutant skeleton")
+	}
+	fix, err := inc.baseFixpoint(f, coop, max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := inc.newSolver(mut, f, coop)
+	s.opts.EarlyTermination = false
+	if ri, err = s.solveOnDelta(dsk, fix); err != nil {
+		t.Fatal(err)
+	}
+
+	csk, _, _, err := cold.deltaSkeleton(mut, es, f, max, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csk.dirty != nil {
+		t.Fatal("cold batch holds a replayed mutant skeleton")
+	}
+	s = cold.newSolver(mut, f, coop)
+	s.opts.EarlyTermination = false
+	if rc, err = s.solveOnSkeleton(csk.sk); err != nil {
+		t.Fatal(err)
+	}
+	return ri, rc
 }
 
 // TestDeltaEdgeGhostMatchesCold pins the composed path: ghost overlay of a

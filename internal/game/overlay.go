@@ -118,6 +118,14 @@ func (b *Batch) overlay(sk *skeleton, key overlayKey, st *Stats) (*skeleton, err
 // what exploring the instrumented clone at the same worker count would have
 // assigned. cancel aborts the replay with ErrCanceled (polled every 4096
 // added nodes).
+//
+// A campaign splits one overlay per (mutant, edge goal), so the replay runs
+// in two passes to cost a fixed number of allocations whatever the overlay's
+// size. The first walks the core's successor lists on indices alone: overlay
+// ids, the (core node, layer) each stands for, and every successor target in
+// wiring order. With node and transition counts known, the second carves the
+// nodes, their states and variable vectors, and their successor and
+// predecessor lists from one exactly sized backing array each.
 func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct{}) (*skeleton, error) {
 	watched := func(t *symbolic.Transition) bool {
 		for _, e := range t.Edges {
@@ -129,51 +137,44 @@ func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct
 	}
 
 	// ids maps (core node, layer) to the overlay id; skelOf/layerOf invert.
-	ids := make([][2]int, len(core.nodes))
+	// wired lists overlay ids in the order their successor lists were
+	// replayed, targets holds those lists back to back.
+	ids := make([][2]int32, len(core.nodes))
 	for i := range ids {
-		ids[i] = [2]int{-1, -1}
+		ids[i] = [2]int32{-1, -1}
 	}
-	var (
-		nodes       []*node
-		skelOf      []int
-		layerOf     []int8
-		queue       []int
-		transitions int
-	)
-	add := func(skel, layer int) (int, error) {
-		if maxNodes > 0 && len(nodes)+1 > maxNodes {
+	skelOf := make([]int32, 0, len(core.nodes))
+	layerOf := make([]int8, 0, len(core.nodes))
+	queue := make([]int, 0, len(core.nodes))
+	wired := make([]int32, 0, len(core.nodes))
+	targets := make([]int32, 0, core.transitions)
+	add := func(skel int, layer int8) (int32, error) {
+		id := len(skelOf)
+		if maxNodes > 0 && id+1 > maxNodes {
 			return 0, budgetNodesErr(maxNodes)
 		}
-		if cancel != nil && len(nodes)&4095 == 0 {
+		if cancel != nil && id&4095 == 0 {
 			select {
 			case <-cancel:
 				return 0, ErrCanceled
 			default:
 			}
 		}
-		o := core.nodes[skel]
-		n := &node{
-			id:       len(nodes),
-			st:       o.st.WithOverlayVar(int32(layer)),
-			zoneFed:  o.zoneFed,
-			explored: true,
-		}
-		ids[skel][layer] = n.id
-		nodes = append(nodes, n)
-		skelOf = append(skelOf, skel)
-		layerOf = append(layerOf, int8(layer))
-		queue = append(queue, n.id)
-		return n.id, nil
+		ids[skel][layer] = int32(id)
+		skelOf = append(skelOf, int32(skel))
+		layerOf = append(layerOf, layer)
+		queue = append(queue, id)
+		return int32(id), nil
 	}
 	// wire replays the exploration of one overlay node from its core
 	// counterpart's frozen successor list, preserving successor order (and
 	// therefore predecessor order and numbering of newly found nodes).
 	wire := func(id int) error {
-		n := nodes[id]
+		wired = append(wired, int32(id))
 		o := core.nodes[skelOf[id]]
 		for i := range o.succs {
 			sc := &o.succs[i]
-			layer := int(layerOf[id])
+			layer := layerOf[id]
 			if layer == 0 && watched(&sc.trans) {
 				layer = 1
 			}
@@ -184,9 +185,7 @@ func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct
 					return err
 				}
 			}
-			n.succs = append(n.succs, succRef{trans: sc.trans, target: tid})
-			nodes[tid].addPred(id)
-			transitions++
+			targets = append(targets, tid)
 		}
 		return nil
 	}
@@ -204,5 +203,55 @@ func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct
 	}); err != nil {
 		return nil, err
 	}
-	return &skeleton{ex: core.ex, nodes: nodes, transitions: transitions, rounds: core.rounds, layers: layerOf}, nil
+
+	// Second pass: materialize. Predecessor lists are sized by in-degree
+	// counted with repeats, an upper bound on the deduplicated length.
+	arena := make([]node, len(skelOf))
+	nodes := make([]*node, len(skelOf))
+	states := make([]symbolic.State, len(skelOf))
+	inDeg := make([]int32, len(skelOf))
+	for _, t := range targets {
+		inDeg[t]++
+	}
+	nvars := 0
+	for _, skel := range skelOf {
+		nvars += len(core.nodes[skel].st.Vars) + 1
+	}
+	vars := make([]int32, nvars)
+	succs := make([]succRef, len(targets))
+	preds := make([]int, len(targets))
+	vo, po := 0, 0
+	for id := range arena {
+		o := core.nodes[skelOf[id]]
+		k, d := len(o.st.Vars)+1, int(inDeg[id])
+		arena[id] = node{
+			id:       id,
+			st:       o.st.WithOverlayVar(int32(layerOf[id]), &states[id], vars[vo:vo+k]),
+			zoneFed:  o.zoneFed,
+			preds:    preds[po : po : po+d],
+			explored: true,
+		}
+		nodes[id] = &arena[id]
+		vo += k
+		po += d
+	}
+	// Wiring in replay order reproduces addPred's predecessor order. A node
+	// is recorded as a predecessor only while its own successor list is
+	// wired, so a repeat (two transitions into one target) always directly
+	// follows its first occurrence and a last-entry check deduplicates.
+	off := 0
+	for _, id := range wired {
+		n := nodes[id]
+		o := core.nodes[skelOf[id]]
+		n.succs = succs[off : off+len(o.succs) : off+len(o.succs)]
+		for i := range o.succs {
+			t := nodes[targets[off+i]]
+			n.succs[i] = succRef{trans: o.succs[i].trans, target: t.id}
+			if p := t.preds; len(p) == 0 || p[len(p)-1] != n.id {
+				t.preds = append(p, n.id)
+			}
+		}
+		off += len(o.succs)
+	}
+	return &skeleton{ex: core.ex, nodes: nodes, transitions: len(targets), rounds: core.rounds, layers: layerOf}, nil
 }

@@ -181,8 +181,10 @@ type Result struct {
 	// Win maps node ids to winning sub-federations (reachability); for
 	// safety objectives it holds the LOSING sets of the dual game instead.
 	// A solve that stopped at the verdict (Options.EarlyTermination,
-	// Batch.SolveDeltaEdgeGhost) leaves sound under-approximations of
-	// these sets: every point listed belongs, not every point is listed.
+	// Batch.SolveDelta, Batch.SolveDeltaEdgeGhost) leaves sound
+	// under-approximations of these sets: every point listed belongs, not
+	// every point is listed. The sets are read-only; entries of nodes that
+	// never won anything share one empty federation.
 	Win   map[int]*dbm.Federation
 	Stats Stats
 
@@ -273,6 +275,7 @@ type solver struct {
 	t0             time.Time
 	safety         bool            // solving the safety dual (win federations hold LOSING sets)
 	noGoal         *dbm.Federation // the empty goal shared by every node φ misses
+	noWin          *dbm.Federation // the empty winning set every node starts from (see applyDelta)
 
 	// Condensation cache: condense() updates lastCond incrementally from
 	// condEdits — the edges appended to pre-condensation nodes since it was
@@ -320,6 +323,7 @@ func newSolverShell(sys *model.System, formula *tctl.Formula, opts Options) *sol
 		t0:      time.Now(),
 		safety:  formula.Objective == tctl.Safety,
 		noGoal:  dbm.NewFederation(sys.NumClocks()),
+		noWin:   dbm.NewFederation(sys.NumClocks()),
 	}
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
@@ -348,7 +352,7 @@ func (s *solver) finishResult() (*Result, error) {
 		s.sampleHeap()
 	}
 
-	res := &Result{Formula: s.formula, Stats: s.stats, Win: map[int]*dbm.Federation{}}
+	res := &Result{Formula: s.formula, Stats: s.stats, Win: make(map[int]*dbm.Federation, len(s.nodes))}
 	for _, n := range s.nodes {
 		res.Win[n.id] = n.win
 	}
@@ -586,8 +590,13 @@ func (s *solver) reevalCore(n *node, st *Stats) *dbm.Federation {
 
 // applyDelta grows n's winning set by delta under the given progress
 // stamp. Callers own the right to mutate n (the worklist globally, a
-// propagation worker through component ownership).
+// propagation worker through component ownership). Nodes start out sharing
+// the solver's read-only empty noWin and get a federation of their own on
+// first growth: a solve that stops at the verdict never grows many of them.
 func (s *solver) applyDelta(n *node, delta *dbm.Federation, stamp int) {
+	if n.win == s.noWin {
+		n.win = dbm.NewFederation(n.zoneFed.Dim())
+	}
 	n.deltas = append(n.deltas, winDelta{fed: delta, stamp: stamp})
 	n.win.Union(delta)
 	rest := n.zoneFed.Subtract(n.win)

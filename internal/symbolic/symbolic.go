@@ -58,19 +58,24 @@ func (s *State) HashKey() uint64 {
 	return (s.DiscreteHash() ^ s.Zone.Hash()) * fnvPrime64
 }
 
-// WithOverlayVar returns a copy of the state whose variable vector carries
-// one appended overlay variable with the given value. The location vector
-// and zone are shared with the receiver, not copied — overlay states are
-// read-only views, like every interned state. This is the substrate of the
-// ghost-overlay construction in package game: a state of a
+// WithOverlayVar writes into dst a copy of the state whose variable vector
+// carries one appended overlay variable with the given value, and returns
+// dst. The caller supplies both buffers: dst, and vars with room for
+// len(s.Vars)+1 values, which becomes dst.Vars — so lifting a whole graph
+// can draw them from arenas instead of allocating per state. The location
+// vector and zone are shared with the receiver, not copied — overlay states
+// are read-only views, like every interned state. This is the substrate of
+// the ghost-overlay construction in package game: a state of a
 // ghost-instrumented clone is exactly a core state plus the appended 0/1
 // watch variable, so successor buffers explored on the core can be lifted
 // into the clone's state space without refiring a single edge.
-func (s *State) WithOverlayVar(v int32) *State {
-	vars := make([]int32, len(s.Vars)+1)
+func (s *State) WithOverlayVar(v int32, dst *State, vars []int32) *State {
+	k := len(s.Vars)
+	vars = vars[: k+1 : k+1]
 	copy(vars, s.Vars)
-	vars[len(s.Vars)] = v
-	return &State{Locs: s.Locs, Vars: vars, Zone: s.Zone}
+	vars[k] = v
+	*dst = State{Locs: s.Locs, Vars: vars, Zone: s.Zone}
+	return dst
 }
 
 // EqualTo reports full symbolic-state equality (discrete part and zone).
