@@ -303,7 +303,7 @@ func (s *solver) solveOnSkeleton(sk *skeleton) (*Result, error) {
 			goal:     goal,
 			succs:    o.succs,
 			preds:    o.preds,
-			win:      s.noWin,
+			win:      dbm.NewFederation(o.st.Zone.Dim()),
 			explored: true,
 		}
 		s.nodes[i] = n

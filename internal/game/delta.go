@@ -776,7 +776,7 @@ func (s *solver) solveOnDelta(dsk *deltaSkeleton, fix *baseFix) (*Result, error)
 				goal:     goal,
 				succs:    o.succs,
 				preds:    o.preds,
-				win:      s.noWin,
+				win:      dbm.NewFederation(o.st.Zone.Dim()),
 				explored: true,
 			}
 		}

@@ -97,7 +97,7 @@ func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 		st:      st,
 		zoneFed: zoneFed,
 		goal:    goal,
-		win:     s.noWin,
+		win:     dbm.NewFederation(st.Zone.Dim()),
 	}
 	sh.mu.Lock()
 	for _, o := range sh.m[h] {

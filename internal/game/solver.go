@@ -183,8 +183,7 @@ type Result struct {
 	// A solve that stopped at the verdict (Options.EarlyTermination,
 	// Batch.SolveDelta, Batch.SolveDeltaEdgeGhost) leaves sound
 	// under-approximations of these sets: every point listed belongs, not
-	// every point is listed. The sets are read-only; entries of nodes that
-	// never won anything share one empty federation.
+	// every point is listed.
 	Win   map[int]*dbm.Federation
 	Stats Stats
 
@@ -275,7 +274,6 @@ type solver struct {
 	t0             time.Time
 	safety         bool            // solving the safety dual (win federations hold LOSING sets)
 	noGoal         *dbm.Federation // the empty goal shared by every node φ misses
-	noWin          *dbm.Federation // the empty winning set every node starts from (see applyDelta)
 
 	// Condensation cache: condense() updates lastCond incrementally from
 	// condEdits — the edges appended to pre-condensation nodes since it was
@@ -323,7 +321,6 @@ func newSolverShell(sys *model.System, formula *tctl.Formula, opts Options) *sol
 		t0:      time.Now(),
 		safety:  formula.Objective == tctl.Safety,
 		noGoal:  dbm.NewFederation(sys.NumClocks()),
-		noWin:   dbm.NewFederation(sys.NumClocks()),
 	}
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
@@ -590,13 +587,8 @@ func (s *solver) reevalCore(n *node, st *Stats) *dbm.Federation {
 
 // applyDelta grows n's winning set by delta under the given progress
 // stamp. Callers own the right to mutate n (the worklist globally, a
-// propagation worker through component ownership). Nodes start out sharing
-// the solver's read-only empty noWin and get a federation of their own on
-// first growth: a solve that stops at the verdict never grows many of them.
+// propagation worker through component ownership).
 func (s *solver) applyDelta(n *node, delta *dbm.Federation, stamp int) {
-	if n.win == s.noWin {
-		n.win = dbm.NewFederation(n.zoneFed.Dim())
-	}
 	n.deltas = append(n.deltas, winDelta{fed: delta, stamp: stamp})
 	n.win.Union(delta)
 	rest := n.zoneFed.Subtract(n.win)
