@@ -19,9 +19,8 @@
 // shared-core skeleton counters). Edge goals are planned as ghost
 // overlays on one shared explored core (-shared-core, on by default);
 // -shared-core=false re-explores a clone per edge, producing the identical
-// report more slowly. Execution consults compiled strategy decision tables
-// (-compile, on by default); -compile=false falls back to interpreted
-// consultation, again with a byte-identical report (the E8 ablation).
+// report more slowly. Execution consults compiled strategy decision
+// tables, each node's rows built when a run first reaches it.
 package main
 
 import (
@@ -59,7 +58,6 @@ func main() {
 		connect     = flag.String("connect", "", "also test a remote IUT served at this address (adapter protocol)")
 		solvWorkers = flag.Int("solver-workers", 1, "strategy-synthesis exploration workers (0 = all cores)")
 		sharedCore  = flag.Bool("shared-core", true, "solve edge goals as ghost overlays on one shared explored core (false: re-explore a clone per edge; reports are identical either way)")
-		compile     = flag.Bool("compile", true, "execute through compiled strategy decision tables (false: interpreted consultation; reports are identical either way)")
 		incremental = flag.Bool("incremental", true, "re-solve suite purposes on mutants incrementally over the shared core's dirty cone (false: re-explore each mutant cold; reports are identical either way)")
 		timeout     = flag.Duration("timeout", 0, "abort the campaign cooperatively after this long (0 = none); SIGINT aborts the same way")
 	)
@@ -102,7 +100,6 @@ func main() {
 		Solver:            game.Options{Workers: *solvWorkers, Cancel: cancel, DisableIncremental: !*incremental},
 		RemoteAddr:        *connect,
 		DisableSharedCore: !*sharedCore,
-		DisableCompile:    !*compile,
 	})
 	if err != nil {
 		if errors.Is(err, game.ErrCanceled) {

@@ -29,12 +29,8 @@ import (
 //     small shipped models and is identical in both modes, so this phase
 //     is archived for the record, not gated.
 //
-// A third family, full/compiled=on|off, re-runs the full phase with
-// execution routed through the compiled decision tables versus the
-// interpreted strategy (ablation E8).
-//
 // CI archives the digest as BENCH_campaign.json (cmd/benchjson pairs the
-// shared=on/off and compiled=on/off cells into speedups).
+// shared=on/off cells into speedups).
 func BenchmarkCampaignPlan(b *testing.B) {
 	for _, name := range []string{"smartlight", "traingate"} {
 		sys, env, plant, _, err := models.ByName(name, 0)
@@ -112,40 +108,6 @@ func BenchmarkCampaignPlan(b *testing.B) {
 					}
 					b.ReportMetric(float64(suite.Stats.Solves), "solves")
 					b.ReportMetric(float64(suite.Stats.SkeletonCoreHits), "corehits")
-				}
-			})
-		}
-		// The compiled family measures Plan end to end with execution routed
-		// through the compiled decision tables versus the interpreted
-		// strategy (ablation E8; the reports are byte-identical either way —
-		// TestCampaignCompiledReportByteIdentical). Planning includes the
-		// execution-backed subsumption runs, so this is where compilation
-		// cost and consultation savings meet in one wall-clock number.
-		// Archived for the record, not gated: the ≥10x consultation floor is
-		// enforced on BenchmarkMoveAt (BENCH_strategy.json).
-		for _, disable := range []bool{false, true} {
-			mode := "on"
-			if disable {
-				mode = "off"
-			}
-			b.Run(fmt.Sprintf("%s/full/compiled=%s", name, mode), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					opts := (&Options{
-						Coverage:       CoverEdges,
-						Plant:          plant,
-						Seed:           1,
-						Solver:         game.Options{Workers: 1},
-						DisableCompile: disable,
-					}).withDefaults(sys)
-					suite, err := Plan(sys, env, &opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if suite.Covered() == 0 {
-						b.Fatal("degenerate plan")
-					}
-					b.ReportMetric(float64(suite.Stats.Solves), "solves")
 				}
 			})
 		}

@@ -95,30 +95,12 @@ type Options struct {
 	// the service layer to route campaign planning through its
 	// content-addressed strategy cache.
 	SolveVia func(key SolveKey, solve func() (*game.Result, error)) (*game.Result, error)
-	// DisableCompile executes every run through the interpreted
-	// Strategy.MoveAt instead of the compiled decision tables (ablation
-	// E8). Compilation is decision-equivalent, so the report is
-	// byte-identical either way — only planning and execution time change.
-	DisableCompile bool
 	// ObserveCell, when set, receives the wall-clock duration of every
 	// executed (strategy × IUT) matrix cell. Called from Execute's worker
 	// goroutines, so it must be safe for concurrent use (the service
 	// layer's latency histogram is). Purely observational: it must not
 	// influence scheduling or results.
 	ObserveCell func(d time.Duration)
-}
-
-// consultantFor returns the execution-facing view of a solved strategy:
-// the compiled decision tables by default (compiled once per Result and
-// shared), the interpreted strategy under the DisableCompile ablation.
-// Compilation failure is impossible for the reachability strategies the
-// planner synthesizes; Result.Consultant falls back to the interpreted
-// oracle on any error.
-func (o *Options) consultantFor(res *game.Result) game.Consultant {
-	if o.DisableCompile {
-		return res.Strategy
-	}
-	return res.Consultant()
 }
 
 // route sends a per-goal solve through SolveVia when one is configured (the

@@ -8,19 +8,21 @@ import (
 	"tigatest/internal/models"
 )
 
-// TestCampaignCompiledReportByteIdentical is the E8 acceptance check:
-// campaigns executed through the compiled decision tables must produce
-// reports byte-identical to the interpreted baseline — same coverage,
-// verdict matrix, mutation scores and lazy-recovered rows — on both
-// shipped models, with mutant execution and repeats in play so the
-// equivalence covers fail/inconclusive cells, not just passing runs.
+// TestCampaignCompiledReportByteIdentical checks that building a compiled
+// strategy's rows on first consultation changes no report: campaigns whose
+// every solve has its tables fully built before the first run (a SolveVia
+// that compiles and encodes each result) must produce reports
+// byte-identical to the default, where runs build the nodes they reach —
+// same coverage, verdict matrix, mutation scores and lazy-recovered rows,
+// on both shipped models, with mutant execution and repeats in play so
+// the equivalence covers fail/inconclusive cells, not just passing runs.
 func TestCampaignCompiledReportByteIdentical(t *testing.T) {
 	for _, name := range []string{"smartlight", "traingate"} {
 		sys, env, plant, _, err := models.ByName(name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(disable bool) []byte {
+		run := func(force bool) []byte {
 			opts := Options{
 				Coverage: CoverEdges,
 				Plant:    plant,
@@ -29,12 +31,21 @@ func TestCampaignCompiledReportByteIdentical(t *testing.T) {
 				Workers:  4,
 				Seed:     1,
 				Solver:   game.Options{Workers: 1},
-
-				DisableCompile: disable,
+			}
+			if force {
+				opts.SolveVia = func(_ SolveKey, solve func() (*game.Result, error)) (*game.Result, error) {
+					res, err := solve()
+					if err == nil && res.Winnable {
+						if cs, cerr := res.CompiledStrategy(); cerr == nil {
+							cs.Encode()
+						}
+					}
+					return res, err
+				}
 			}
 			rep, err := Run(sys, env, opts)
 			if err != nil {
-				t.Fatalf("%s compiled=%v: %v", name, !disable, err)
+				t.Fatalf("%s forced=%v: %v", name, force, err)
 			}
 			var buf bytes.Buffer
 			if err := rep.WriteJSON(&buf, false); err != nil {
@@ -42,11 +53,11 @@ func TestCampaignCompiledReportByteIdentical(t *testing.T) {
 			}
 			return buf.Bytes()
 		}
-		compiled := run(false)
-		interpreted := run(true)
-		if !bytes.Equal(compiled, interpreted) {
-			t.Fatalf("%s: compiled report differs from the interpreted baseline:\n--- compiled ---\n%s\n--- interpreted ---\n%s",
-				name, compiled, interpreted)
+		lazy := run(false)
+		forced := run(true)
+		if !bytes.Equal(lazy, forced) {
+			t.Fatalf("%s: report with lazily built tables differs from the fully built one:\n--- lazy ---\n%s\n--- forced ---\n%s",
+				name, lazy, forced)
 		}
 	}
 }

@@ -77,9 +77,8 @@ type SuiteEntry struct {
 	// for every worker count, so safe for canonical reports).
 	Nodes, Transitions int
 	// consult is the execution-facing consultant, shared by the planning
-	// run and every (row x repeat) cell of the matrix: the compiled
-	// decision tables unless the DisableCompile ablation keeps the
-	// interpreted strategy.
+	// run and every (row x repeat) cell of the matrix: the result's
+	// compiled decision tables (Result.Consultant).
 	consult game.Consultant
 }
 
@@ -386,7 +385,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 		// implementation's determinization never grants die here; a
 		// strict strategy missing its own goal is a defect and is
 		// reported as such.
-		consult := opts.consultantFor(res)
+		consult := res.Consultant()
 		runner := &Runner{Strategy: consult, Exec: opts.Exec}
 		r := runner.RunOnce(tiots.NewDetIUT(impl, scale, nil))
 		if r.Verdict != texec.Pass {
@@ -461,7 +460,7 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 				continue
 			}
 			if m.candidate != nil {
-				consult := opts.consultantFor(m.candidate)
+				consult := m.candidate.Consultant()
 				runner := &Runner{Strategy: consult, Exec: opts.Exec}
 				r := runner.RunOnce(tiots.NewDetIUT(impl, scale, tiots.LazyPolicy()))
 				if r.Verdict == texec.Pass {

@@ -1,10 +1,14 @@
 // Strategy compilation and the compiled wire format.
 //
-// Compile enumerates the decision rows MoveAt derives on the fly (see
-// compiled.go for the row layout) by calling the interpreter's own region
-// constructors at one representative bound per stamp-prefix level, so the
-// compiled zone decompositions are bit-identical to what the interpreter
-// would build at consultation time.
+// Compile validates a strategy and hands back tables whose rows are still
+// empty. A node's rows are the decisions MoveAt derives on the fly (see
+// compiled.go for the row layout); buildNode enumerates them the first
+// time a consultation reaches the node, by calling the interpreter's own
+// region constructors at one representative bound per stamp-prefix level,
+// so the compiled zone decompositions are bit-identical to what the
+// interpreter would build at consultation time. A test run visits a few
+// nodes of the game graph, so most rows are never built; Encode and
+// MaxConstant, which need the whole table, build the rest in id order.
 //
 // Encode/Decode give compiled strategies a canonical, versioned binary
 // serialization so they are content-addressable artifacts: deterministic
@@ -28,106 +32,163 @@ import (
 	"tigatest/internal/tctl"
 )
 
-// Compile precomputes the strategy's per-node decision tables. The
+// Compile validates the strategy and returns its decision tables, whose
+// rows are built per node on first consultation (see CompiledStrategy).
+// The stamp-ascending check runs here over every node, so a solver
+// invariant violation fails Compile and never a later consultation. The
 // receiver is unchanged and stays valid (it remains the reference oracle
-// for the compiled form). Only reachability (and cooperative) strategies
-// compile; safety strategies have no MoveAt consultation path.
+// for the compiled form, and the source the rows are built from). Only
+// reachability (and cooperative) strategies compile; safety strategies
+// have no MoveAt consultation path.
 func (st *Strategy) Compile() (*CompiledStrategy, error) {
 	if st.formula == nil || st.formula.Objective == tctl.Safety {
 		return nil, fmt.Errorf("game: only reachability strategies compile (safety strategies are consulted via SafeActions)")
 	}
-	t0 := time.Now()
-	cs := &CompiledStrategy{
+	for _, n := range st.nodes {
+		for i := 1; i < len(n.deltas); i++ {
+			if n.deltas[i].stamp <= n.deltas[i-1].stamp {
+				return nil, fmt.Errorf("game: node %d deltas not stamp-ascending (solver invariant violated)", n.id)
+			}
+		}
+	}
+	return &CompiledStrategy{
 		sys:     st.sys,
 		purpose: st.formula.String(),
 		coop:    st.coop,
 		dim:     st.sys.NumClocks(),
 		nodes:   make([]compiledNode, len(st.nodes)),
-	}
-	for _, n := range st.nodes {
-		cn := &cs.nodes[n.id]
-		cn.goal = n.goal
-		cn.deltas = make([]compiledDelta, len(n.deltas))
-		for i, d := range n.deltas {
-			if i > 0 && d.stamp <= n.deltas[i-1].stamp {
-				return nil, fmt.Errorf("game: node %d deltas not stamp-ascending (solver invariant violated)", n.id)
-			}
-			cn.deltas[i] = compiledDelta{stamp: d.stamp, fed: d.fed}
-		}
-
-		cn.succs = make([]compiledSucc, len(n.succs))
-		var oppStamps []int
-		for i := range n.succs {
-			sc := &n.succs[i]
-			target := st.nodes[sc.target]
-			csc := &cn.succs[i]
-			csc.trans = sc.trans
-			csc.target = sc.target
-			csc.ctrl = sc.trans.Kind == model.Controllable
-			csc.usable = st.moveUsable(&sc.trans)
-			csc.stamps = make([]int, len(target.deltas))
-			for j, d := range target.deltas {
-				csc.stamps[j] = d.stamp
-			}
-			if csc.usable {
-				csc.regions = make([]*dbm.Federation, len(csc.stamps)+1)
-				for l := range csc.regions {
-					csc.regions[l] = st.actionRegion(n, sc, levelBound(csc.stamps, l))
-				}
-			}
-			if !csc.ctrl {
-				oppStamps = append(oppStamps, csc.stamps...)
-			}
-		}
-
-		cn.forcedThresholds = sortedUnique(oppStamps)
-		cn.forcedRegions = make([]*dbm.Federation, len(cn.forcedThresholds)+1)
-		for l := range cn.forcedRegions {
-			cn.forcedRegions[l] = st.forcedRegion(n, levelBound(cn.forcedThresholds, l))
-		}
-	}
-	cs.buildProbes()
-	cs.compileDur = time.Since(t0)
-	return cs, nil
+		src:     st,
+	}, nil
 }
 
-// buildProbes flattens every row federation into its membership probe (the
-// hot-path representation) and records the tables' largest constant; run
-// once after rows are in place, by Compile and Decode alike.
-func (cs *CompiledStrategy) buildProbes() {
-	flatten := func(f *dbm.Federation) probe {
-		p := makeProbe(f)
-		for _, c := range p.cons {
-			cs.maxConst = max(cs.maxConst, abs(c.b.Value()))
-		}
-		return p
+// node returns node id's rows, building them on the first visit. After
+// that a consultation pays one atomic load here and allocates nothing.
+func (cs *CompiledStrategy) node(id int) *compiledNode {
+	if n := &cs.nodes[id]; n.ready.Load() {
+		return n
 	}
-	for i := range cs.nodes {
-		n := &cs.nodes[i]
-		n.goalPr = flatten(n.goal)
-		for d := range n.deltas {
-			n.deltas[d].pr = flatten(n.deltas[d].fed)
-		}
-		for j := range n.succs {
-			sc := &n.succs[j]
-			for _, e := range sc.trans.Edges {
-				for _, c := range e.Guard.Clocks {
-					cs.maxConst = max(cs.maxConst, abs(c.Bound.Value()))
-				}
-			}
-			if !sc.usable {
-				continue
-			}
-			sc.prs = make([]probe, len(sc.regions))
-			for k := range sc.regions {
-				sc.prs[k] = flatten(sc.regions[k])
-			}
-		}
-		n.forcedPrs = make([]probe, len(n.forcedRegions))
-		for k := range n.forcedRegions {
-			n.forcedPrs[k] = flatten(n.forcedRegions[k])
+	return cs.build(id)
+}
+
+// build builds node id's rows under the build lock, unless a concurrent
+// consultation built them first, and returns the node.
+func (cs *CompiledStrategy) build(id int) *compiledNode {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if !cs.nodes[id].ready.Load() {
+		t0 := time.Now()
+		cs.buildNode(id)
+		cs.buildNanos.Add(int64(time.Since(t0)))
+	}
+	return &cs.nodes[id]
+}
+
+// forceAll builds every node not built yet, in id order, under one lock
+// and timed once: the whole table, as Encode and MaxConstant need it, at
+// the cost of one eager pass.
+func (cs *CompiledStrategy) forceAll() {
+	if cs.complete.Load() {
+		return
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if cs.complete.Load() {
+		return
+	}
+	t0 := time.Now()
+	for id := range cs.nodes {
+		if !cs.nodes[id].ready.Load() {
+			cs.buildNode(id)
 		}
 	}
+	cs.buildNanos.Add(int64(time.Since(t0)))
+	cs.complete.Store(true)
+}
+
+// buildNode enumerates node id's rows from the source strategy, flattens
+// them into probes and publishes the node. Called with cs.mu held.
+func (cs *CompiledStrategy) buildNode(id int) {
+	st := cs.src
+	n := st.nodes[id]
+	cn := &cs.nodes[id]
+	cn.goal = n.goal
+	cn.deltas = make([]compiledDelta, len(n.deltas))
+	for i, d := range n.deltas {
+		cn.deltas[i] = compiledDelta{stamp: d.stamp, fed: d.fed}
+	}
+
+	cn.succs = make([]compiledSucc, len(n.succs))
+	var oppStamps []int
+	for i := range n.succs {
+		sc := &n.succs[i]
+		target := st.nodes[sc.target]
+		csc := &cn.succs[i]
+		csc.trans = sc.trans
+		csc.target = sc.target
+		csc.ctrl = sc.trans.Kind == model.Controllable
+		csc.usable = st.moveUsable(&sc.trans)
+		csc.stamps = make([]int, len(target.deltas))
+		for j, d := range target.deltas {
+			csc.stamps[j] = d.stamp
+		}
+		if csc.usable {
+			csc.regions = make([]*dbm.Federation, len(csc.stamps)+1)
+			for l := range csc.regions {
+				csc.regions[l] = st.actionRegion(n, sc, levelBound(csc.stamps, l))
+			}
+		}
+		if !csc.ctrl {
+			oppStamps = append(oppStamps, csc.stamps...)
+		}
+	}
+
+	cn.forcedThresholds = sortedUnique(oppStamps)
+	cn.forcedRegions = make([]*dbm.Federation, len(cn.forcedThresholds)+1)
+	for l := range cn.forcedRegions {
+		cn.forcedRegions[l] = st.forcedRegion(n, levelBound(cn.forcedThresholds, l))
+	}
+	cs.flatten(cn)
+	cs.builds++
+	cn.ready.Store(true)
+}
+
+// flatten turns every row federation of n into its membership probe (the
+// hot-path representation) and raises the tables' largest constant to
+// n's; run once per node with cs.mu held, or by Decode before the
+// strategy is shared.
+func (cs *CompiledStrategy) flatten(n *compiledNode) {
+	n.goalPr = cs.probeOf(n.goal)
+	for d := range n.deltas {
+		n.deltas[d].pr = cs.probeOf(n.deltas[d].fed)
+	}
+	for j := range n.succs {
+		sc := &n.succs[j]
+		for _, e := range sc.trans.Edges {
+			for _, c := range e.Guard.Clocks {
+				cs.maxConst = max(cs.maxConst, abs(c.Bound.Value()))
+			}
+		}
+		if !sc.usable {
+			continue
+		}
+		sc.prs = make([]probe, len(sc.regions))
+		for k := range sc.regions {
+			sc.prs[k] = cs.probeOf(sc.regions[k])
+		}
+	}
+	n.forcedPrs = make([]probe, len(n.forcedRegions))
+	for k := range n.forcedRegions {
+		n.forcedPrs[k] = cs.probeOf(n.forcedRegions[k])
+	}
+}
+
+// probeOf flattens f and raises the tables' largest constant to f's.
+func (cs *CompiledStrategy) probeOf(f *dbm.Federation) probe {
+	p := makeProbe(f)
+	for _, c := range p.cons {
+		cs.maxConst = max(cs.maxConst, abs(c.b.Value()))
+	}
+	return p
 }
 
 func abs(x int) int { return max(x, -x) }
@@ -223,6 +284,7 @@ type encodeCache struct {
 // returned slice is cached and shared: callers must not modify it.
 func (cs *CompiledStrategy) Encode() []byte {
 	cs.enc.once.Do(func() {
+		cs.forceAll()
 		w := &wbuf{}
 		w.raw(wireMagic[:])
 		w.u32(wireVersion)
@@ -380,6 +442,8 @@ func Decode(sys *model.System, data []byte) (*CompiledStrategy, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
+		cs.flatten(n)
+		n.ready.Store(true)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -387,7 +451,7 @@ func Decode(sys *model.System, data []byte) (*CompiledStrategy, error) {
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("game: %d trailing bytes after compiled strategy", len(r.b))
 	}
-	cs.buildProbes()
+	cs.complete.Store(true)
 	return cs, nil
 }
 

@@ -11,7 +11,7 @@
 //
 //   - the goal region and the winning deltas (for InGoal / StampAt),
 //   - per successor, the action region at every prefix level of the
-//     target's stamps (level = #{stamps < bound}, found by binary search),
+//     target's stamps (level = #{stamps < bound}, found by a linear scan),
 //   - the forced-move region on every interval of the sorted opponent-target
 //     stamp thresholds (piecewise-constant in the bound),
 //
@@ -21,11 +21,18 @@
 // interpreter runs, so zone decompositions — and with them wait-tick
 // minimization and cooperative-hope tie-breaks — are identical, making the
 // compiled consultant decision-equivalent, not merely verdict-equivalent.
+//
+// A node's rows are built once, when a consultation first reaches it: the
+// online tester of Algorithm 3.1 visits a handful of the graph's nodes. A
+// per-node ready flag guards them, so concurrent consultations share one
+// build and an already built node costs one atomic load.
 
 package game
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"tigatest/internal/dbm"
@@ -104,8 +111,8 @@ type delayZone struct {
 // makeProbe flattens f in two passes: the first counts the finite
 // constraints by kind, so the second fills one backing array shared by cons
 // and every zone's diff list and one shared by every zone's ups and lows.
-// Compile flattens every row of every node, so per-constraint slice growth
-// here would be its allocation hot spot.
+// Every row of every built node is flattened, so per-constraint slice
+// growth here would be the build's allocation hot spot.
 func makeProbe(f *dbm.Federation) probe {
 	var p probe
 	if f == nil {
@@ -296,8 +303,10 @@ func (sc *compiledSucc) levelAt(bound int) int {
 	return l
 }
 
-// compiledNode is one decision row of the table.
+// compiledNode is one decision row of the table. Its fields are written
+// once, by buildNode or Decode, before ready is set.
 type compiledNode struct {
+	ready  atomic.Bool
 	goal   *dbm.Federation
 	goalPr probe
 	deltas []compiledDelta
@@ -319,32 +328,42 @@ func (n *compiledNode) forcedLevel(bound int) int {
 }
 
 // CompiledStrategy is a strategy compiled to flat per-node decision tables.
-// It is immutable and safe for any number of concurrent readers, like the
-// interpreted Strategy it was compiled from — but a consultation is pure
-// point-in-zone lookups over the prebuilt rows. Build one with
-// Strategy.Compile (or Result.CompiledStrategy, which compiles once and
-// shares), revive a serialized one with Decode.
+// It is safe for any number of concurrent readers, like the interpreted
+// Strategy it was compiled from — but a consultation is pure point-in-zone
+// lookups over the node's rows, built on the node's first consultation.
+// Build one with Strategy.Compile (or Result.CompiledStrategy, which
+// compiles once and shares), revive a serialized one with Decode.
 type CompiledStrategy struct {
 	sys     *model.System
 	purpose string
 	coop    bool
 	dim     int
 	nodes   []compiledNode
-	// maxConst is the largest constant of the tables: every probe and
+	// src is the strategy the rows are built from; Decode builds every
+	// row and leaves it nil.
+	src *Strategy
+
+	// mu serializes node builds and guards maxConst and builds; once
+	// complete is set nothing writes them.
+	mu       sync.Mutex
+	complete atomic.Bool // every node is built
+	// maxConst is the largest constant of the built rows: every probe and
 	// transition guard (see MaxConstant).
 	maxConst int
-
-	// compileDur records the wall-clock Compile spent building the tables
-	// (zero for strategies obtained via Decode); the observability layer's
-	// compile-phase histogram reads it once per actual compilation.
-	compileDur time.Duration
+	builds   int // nodes built by buildNode
+	// buildNanos sums the wall-clock time spent building rows.
+	buildNanos atomic.Int64
 
 	enc encodeCache
 }
 
-// CompileDuration returns the wall-clock cost of the Compile call that
-// built these tables, or zero for decoded strategies.
-func (cs *CompiledStrategy) CompileDuration() time.Duration { return cs.compileDur }
+// CompileDuration returns the wall-clock time spent building rows so
+// far, summed over node builds: zero right after Compile, the whole
+// table's cost once Encode or MaxConstant has built every node, and zero
+// for decoded strategies.
+func (cs *CompiledStrategy) CompileDuration() time.Duration {
+	return time.Duration(cs.buildNanos.Load())
+}
 
 // System returns the specification the strategy was synthesized for.
 func (cs *CompiledStrategy) System() *model.System { return cs.sys }
@@ -363,14 +382,18 @@ func (cs *CompiledStrategy) InitialNode() int { return 0 }
 
 // MaxConstant returns the largest constant in the decision tables: the
 // probes and the transition guards are all a consultation compares a
-// valuation against.
-func (cs *CompiledStrategy) MaxConstant() int { return cs.maxConst }
+// valuation against. It builds every node not built yet.
+func (cs *CompiledStrategy) MaxConstant() int {
+	cs.forceAll()
+	return cs.maxConst
+}
 
 // StampAt returns the stamp at which the scaled valuation entered the
 // node's winning set, or -1 when it is not winning.
 func (cs *CompiledStrategy) StampAt(id int, val []int64, scale int64) int {
-	for i := range cs.nodes[id].deltas {
-		d := &cs.nodes[id].deltas[i]
+	n := cs.node(id)
+	for i := range n.deltas {
+		d := &n.deltas[i]
 		if d.pr.contains(val, scale) {
 			return d.stamp
 		}
@@ -381,7 +404,7 @@ func (cs *CompiledStrategy) StampAt(id int, val []int64, scale int64) int {
 // InGoal reports whether the valuation satisfies the test purpose at the
 // node.
 func (cs *CompiledStrategy) InGoal(id int, val []int64, scale int64) bool {
-	return cs.nodes[id].goalPr.contains(val, scale)
+	return cs.node(id).goalPr.contains(val, scale)
 }
 
 // MoveAt computes the strategy decision at a concrete scaled valuation
@@ -390,7 +413,7 @@ func (cs *CompiledStrategy) InGoal(id int, val []int64, scale int64) bool {
 // wait-scan — over the precompiled rows. bound is the arrival stamp (pass
 // 0 on entry to a node to derive it automatically).
 func (cs *CompiledStrategy) MoveAt(id int, val []int64, scale int64, bound int) (Move, error) {
-	n := &cs.nodes[id]
+	n := cs.node(id)
 	if n.goalPr.contains(val, scale) {
 		return Move{Kind: MoveGoal}, nil
 	}
@@ -469,7 +492,7 @@ func (cs *CompiledStrategy) MoveAt(id int, val []int64, scale int64, bound int) 
 // transition on channel chanIdx from node id at the scaled valuation val
 // (the pre-transition point).
 func (cs *CompiledStrategy) FollowTransition(id int, chanIdx int, val []int64, scale int64) (*symbolic.Transition, int, error) {
-	n := &cs.nodes[id]
+	n := cs.node(id)
 	for i := range n.succs {
 		sc := &n.succs[i]
 		if sc.trans.Chan != chanIdx {

@@ -27,7 +27,7 @@ type obsState struct {
 	sessH    *obs.Histogram // session lifetime
 	fwdH     *obs.Histogram // peer_strategy forward round-trip
 	cellH    *obs.Histogram // campaign matrix cell execution
-	compileH *obs.Histogram // strategy compilation (once per solved Result)
+	compileH *obs.Histogram // Compile call, once per solved Result (rows build on first use)
 
 	log *slog.Logger
 }

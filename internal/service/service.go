@@ -347,23 +347,26 @@ func (s *Service) noteSolve(st game.Stats) {
 	s.obs.solve().Observe(st.Duration)
 }
 
-// noteCompile eagerly compiles a freshly solved winnable strategy under a
-// compile span and observes the compilation cost. Only called with
-// observability enabled, from the solve closure that produced res, so
-// every Result is observed at most once (CompiledStrategy itself compiles
-// once and caches), and never for mutant-analysis solves, whose strategies
-// nobody consults. With observability disabled compilation stays lazy,
-// exactly as before.
+// noteCompile compiles a freshly solved winnable strategy under a compile
+// span and observes the wall time of that call: Compile validates the
+// strategy and allocates its table, while each node's rows are built on
+// the node's first consultation, or all at once by the encode span of a
+// strategy fetch (CompiledStrategy.CompileDuration sums those builds).
+// Only called with observability enabled, from the solve closure that
+// produced res, so every Result is observed at most once (CompiledStrategy
+// itself compiles once and caches), and never for mutant-analysis solves,
+// whose strategies nobody consults. With observability disabled
+// compilation happens on first use.
 func (s *Service) noteCompile(res *game.Result, ctx obs.SpanContext) {
 	if s.obs == nil || res == nil || !res.Winnable {
 		return
 	}
 	sp := s.obs.tracer().StartSpan(ctx, "compile")
-	cs, err := res.CompiledStrategy()
-	if err != nil {
+	t0 := time.Now()
+	if _, err := res.CompiledStrategy(); err != nil {
 		sp.SetErr(err.Error())
 	} else {
-		s.obs.compile().Observe(cs.CompileDuration())
+		s.obs.compile().Observe(time.Since(t0))
 	}
 	sp.End()
 }

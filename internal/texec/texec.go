@@ -19,6 +19,7 @@ package texec
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"tigatest/internal/game"
 	"tigatest/internal/model"
@@ -239,12 +240,18 @@ func Run(strat game.Consultant, iut tiots.IUT, opts Options) Result {
 // take the same decisions, see the same outputs at the same instants and
 // get the same monitor verdicts forever, so the run would end "step budget
 // exhausted" and no pass or fail is lost.
+//
+// The tester's clamp comes from the strategy's MaxConstant, which builds
+// a compiled strategy's whole table, so sameValuation reads it only when
+// no cheaper comparison decides (see there).
 type loopCheck struct {
 	keyer tiots.StateKeyer // nil: the IUT cannot key its state
 	strat game.Consultant
 	mon   *tioco.Monitor
 	scale int64
-	clamp int64 // threshold of the tester's valuation
+	// floor is the clamp at MaxConstant 0, a lower bound of the exact
+	// clamp; clamp is the exact threshold, 0 until first needed.
+	floor, clamp int64
 	// at is the snapshot's step (-1 before the first), next the step of
 	// the next checkpoint.
 	at, next    int
@@ -265,7 +272,7 @@ func newLoopCheck(strat game.Consultant, iut tiots.IUT, mon *tioco.Monitor, scal
 // repeats reports whether the state at decision step equals the snapshot,
 // and saves the state as the new snapshot at a checkpoint.
 func (c *loopCheck) repeats(step, node, bound int, val []int64) bool {
-	if c.at >= 0 && node == c.node && bound == c.bound && tiots.SameClockKey(val, c.val, c.clamp) {
+	if c.at >= 0 && node == c.node && bound == c.bound && c.sameValuation(val) {
 		c.buf = c.keyer.AppendStateKey(c.buf[:0])
 		if bytes.Equal(c.buf, c.iutKey) {
 			c.buf = c.mon.AppendStateKey(c.buf[:0])
@@ -287,14 +294,36 @@ func (c *loopCheck) repeats(step, node, bound int, val []int64) bool {
 	return false
 }
 
-// setup computes the tester's clamp and allocates the snapshot buffers
-// before the first checkpoint. One array backs the three key buffers,
-// sized for a single-hypothesis key of the specification (locations, a
-// variable allowance, clocks and their differences); a key that outgrows
-// its third moves out on its own.
+// sameValuation reports whether val and the snapshot's valuation have
+// equal keys at the exact clamp, tiots.SameClockKey(val, c.val, clamp),
+// in three exact steps. Equal keys at a threshold are equal at every
+// lower one, and the floor is at most the clamp because MaxConstant is
+// never negative, so:
+//  1. valuations that differ at the floor differ at the clamp;
+//  2. equal valuations are equal at any threshold;
+//  3. only the rest, equal at the floor but not equal, are compared at
+//     the clamp, computed from MaxConstant the first time.
+func (c *loopCheck) sameValuation(val []int64) bool {
+	if !tiots.SameClockKey(val, c.val, c.floor) {
+		return false
+	}
+	if slices.Equal(val, c.val) {
+		return true
+	}
+	if c.clamp == 0 {
+		c.clamp = tiots.ClockClamp(c.strat.System(), c.strat.MaxConstant(), c.scale)
+	}
+	return tiots.SameClockKey(val, c.val, c.clamp)
+}
+
+// setup computes the floor of the tester's clamp and allocates the
+// snapshot buffers before the first checkpoint. One array backs the three
+// key buffers, sized for a single-hypothesis key of the specification
+// (locations, a variable allowance, clocks and their differences); a key
+// that outgrows its third moves out on its own.
 func (c *loopCheck) setup(clocks int) {
 	sys := c.strat.System()
-	c.clamp = tiots.ClockClamp(sys, c.strat.MaxConstant(), c.scale)
+	c.floor = tiots.ClockClamp(sys, 0, c.scale)
 	c.val = make([]int64, 0, clocks)
 	size := 8*len(sys.Procs) + 64 + 4*clocks*(clocks+1)
 	keys := make([]byte, 3*size)
