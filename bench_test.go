@@ -92,11 +92,15 @@ func BenchmarkAlgorithm31(b *testing.B) {
 	if err != nil || !res.Winnable {
 		b.Fatal("synthesis failed")
 	}
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		iut := SimulatedIUT(sys, plant, nil)
-		r := texec.Run(res.Strategy, iut, texec.Options{PlantProcs: plant})
+		r := texec.Run(cs, iut, texec.Options{PlantProcs: plant})
 		if r.Verdict != texec.Pass {
 			b.Fatalf("conformant run must pass: %s", r)
 		}
@@ -111,6 +115,10 @@ func BenchmarkFaultDetection(b *testing.B) {
 	if err != nil || !res.Winnable {
 		b.Fatal("synthesis failed")
 	}
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		b.Fatal(err)
+	}
 	muts := Mutants(sys, plant, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -118,7 +126,7 @@ func BenchmarkFaultDetection(b *testing.B) {
 		killed := 0
 		for _, m := range muts {
 			iut := MutantIUT(m, plant, m.Policy)
-			if texec.Run(res.Strategy, iut, texec.Options{PlantProcs: plant}).Verdict == texec.Fail {
+			if texec.Run(cs, iut, texec.Options{PlantProcs: plant}).Verdict == texec.Fail {
 				killed++
 			}
 		}

@@ -97,9 +97,11 @@ func main() {
 	}
 	fmt.Printf("synthesized %s strategy for %s (%d symbolic states)\n\n", mode, purpose, res.Strategy.NumNodes())
 
-	// Execute through the compiled decision tables (decision-equivalent to
-	// the interpreted strategy, ablation E8).
-	runner := &campaign.Runner{Strategy: res.Consultant(), Exec: texec.Options{PlantProcs: plant}}
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		fatal(err)
+	}
+	runner := &campaign.Runner{Strategy: cs, Exec: texec.Options{PlantProcs: plant}}
 
 	if *connect != "" {
 		cli, err := adapter.Dial(*connect)

@@ -77,6 +77,10 @@ func TestFullRemoteTestRun(t *testing.T) {
 	if err != nil || !res.Winnable {
 		t.Fatalf("solve: %v winnable=%v", err, res != nil && res.Winnable)
 	}
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	impl := model.ExtractPlant(spec, models.SmartLightPlant(spec), "Stub")
 	srv, err := Serve("127.0.0.1:0", tiots.NewDetIUT(impl, tiots.Scale, nil))
@@ -90,7 +94,7 @@ func TestFullRemoteTestRun(t *testing.T) {
 	}
 	defer cli.Close()
 
-	verdict := texec.Run(res.Strategy, cli, texec.Options{PlantProcs: models.SmartLightPlant(spec)})
+	verdict := texec.Run(cs, cli, texec.Options{PlantProcs: models.SmartLightPlant(spec)})
 	if verdict.Verdict != texec.Pass {
 		t.Fatalf("remote conformant implementation must pass, got %s", verdict)
 	}
@@ -126,6 +130,10 @@ func TestConcurrentSessions(t *testing.T) {
 	if err != nil || !res.Winnable {
 		t.Fatalf("solve: %v winnable=%v", err, res != nil && res.Winnable)
 	}
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	impl := model.ExtractPlant(spec, plant, "Stub")
 	srv, err := ServeFactory("127.0.0.1:0", func() tiots.IUT {
@@ -155,7 +163,7 @@ func TestConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			verdicts[i] = texec.Run(res.Strategy, clients[i], texec.Options{PlantProcs: plant})
+			verdicts[i] = texec.Run(cs, clients[i], texec.Options{PlantProcs: plant})
 		}(i)
 	}
 	wg.Wait()

@@ -145,7 +145,7 @@ func BenchmarkExecLoop(b *testing.B) {
 	if entry == nil {
 		b.Fatal("smartlight plan has no lazy entry")
 	}
-	runner := &Runner{Strategy: entry.consultant(), Exec: opts.Exec}
+	runner := &Runner{Strategy: entry.consult, Exec: opts.Exec}
 	impl := model.ExtractPlant(sys, opts.Plant, "Stub")
 	for _, c := range []struct {
 		name   string

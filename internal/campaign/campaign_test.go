@@ -493,8 +493,12 @@ func TestRunnerSharedWithTestexec(t *testing.T) {
 		t.Fatal("standard purpose must be strictly winnable")
 	}
 
+	cs, err := strict.CompiledStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
 	impl := model.ExtractPlant(sys, plant, "Stub")
-	r := &Runner{Strategy: strict.Strategy, Exec: texec.Options{PlantProcs: plant}}
+	r := &Runner{Strategy: cs, Exec: texec.Options{PlantProcs: plant}}
 	tally := r.RunCell(LocalIUT(impl, 0, nil), 3, 7)
 	if tally.Pass != 3 || tally.Verdict() != texec.Pass {
 		t.Fatalf("conformant cell must pass all repeats: %+v", tally)

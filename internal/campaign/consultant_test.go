@@ -8,9 +8,9 @@ import (
 )
 
 // TestPlanResolvesConsultantPerEntry checks that every suite entry —
-// strict, cooperative and lazy-recovered alike — carries the consultant
-// resolved at plan time: the compiled decision tables. Smart Light's edge
-// plan has lazy entries, so the lazy retry's path is exercised.
+// strict, cooperative and lazy-recovered alike — carries the compiled
+// decision tables resolved at plan time. Smart Light's edge plan has lazy
+// entries, so the lazy retry's path is exercised.
 func TestPlanResolvesConsultantPerEntry(t *testing.T) {
 	sys := models.SmartLight()
 	env := models.SmartLightEnv(sys)
@@ -29,8 +29,8 @@ func TestPlanResolvesConsultantPerEntry(t *testing.T) {
 		if e.Lazy {
 			lazy++
 		}
-		if _, ok := e.consultant().(*game.CompiledStrategy); !ok {
-			t.Errorf("entry %d (lazy=%v) consults %T, not the compiled tables", e.Index, e.Lazy, e.consultant())
+		if e.consult == nil {
+			t.Errorf("entry %d (lazy=%v) has no compiled tables", e.Index, e.Lazy)
 		}
 	}
 	if lazy != 2 {

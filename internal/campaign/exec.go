@@ -109,7 +109,7 @@ func Execute(suite *Suite, rows []*IUTRow, opts *Options) [][]CellTally {
 				// One consultant per entry, shared by every IUT row and every
 				// repeat touching this strategy: the compiled tables are built
 				// once at plan time, never per cell.
-				runner := &Runner{Strategy: entry.consultant(), Exec: opts.Exec}
+				runner := &Runner{Strategy: entry.consult, Exec: opts.Exec}
 				// The cell seed mixes the campaign seed with the cell
 				// coordinates so every cell draws an independent stream
 				// regardless of scheduling.

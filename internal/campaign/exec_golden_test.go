@@ -181,7 +181,7 @@ func forEachGoldenRun(t *testing.T, visit func(goldenRun)) {
 				}
 			}
 			for _, e := range suite.Entries {
-				runner := &Runner{Strategy: e.consultant(), Exec: base.Exec}
+				runner := &Runner{Strategy: e.consult, Exec: base.Exec}
 				for _, r := range rows {
 					visit(goldenRun{
 						key:    fmt.Sprintf("%s/%s/entry%d/%s", mc.name, cov, e.Index, r.Name),

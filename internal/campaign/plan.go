@@ -76,19 +76,10 @@ type SuiteEntry struct {
 	// Nodes/Transitions are the solver's explored graph size (identical
 	// for every worker count, so safe for canonical reports).
 	Nodes, Transitions int
-	// consult is the execution-facing consultant, shared by the planning
-	// run and every (row x repeat) cell of the matrix: the result's
-	// compiled decision tables (Result.Consultant).
-	consult game.Consultant
-}
-
-// consultant returns the entry's shared execution consultant, falling back
-// to the interpreted strategy for entries constructed outside Plan.
-func (e *SuiteEntry) consultant() game.Consultant {
-	if e.consult != nil {
-		return e.consult
-	}
-	return e.Strategy
+	// consult is the result's compiled decision tables
+	// (Result.CompiledStrategy), shared by the planning run and every
+	// (row x repeat) cell of the matrix.
+	consult *game.CompiledStrategy
 }
 
 // Suite is the planned campaign: the strategy set plus the per-goal
@@ -385,7 +376,10 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 		// implementation's determinization never grants die here; a
 		// strict strategy missing its own goal is a defect and is
 		// reported as such.
-		consult := res.Consultant()
+		consult, err := res.CompiledStrategy()
+		if err != nil {
+			return nil, fmt.Errorf("campaign: compiling %s for %s: %w", pg.Purpose, pg.Name, err)
+		}
 		runner := &Runner{Strategy: consult, Exec: opts.Exec}
 		r := runner.RunOnce(tiots.NewDetIUT(impl, scale, nil))
 		if r.Verdict != texec.Pass {
@@ -460,7 +454,10 @@ func Plan(sys *model.System, env *tctl.ParseEnv, opts *Options) (*Suite, error) 
 				continue
 			}
 			if m.candidate != nil {
-				consult := m.candidate.Consultant()
+				consult, err := m.candidate.CompiledStrategy()
+				if err != nil {
+					return nil, fmt.Errorf("campaign: compiling %s for %s: %w", pg.Purpose, pg.Name, err)
+				}
 				runner := &Runner{Strategy: consult, Exec: opts.Exec}
 				r := runner.RunOnce(tiots.NewDetIUT(impl, scale, tiots.LazyPolicy()))
 				if r.Verdict == texec.Pass {

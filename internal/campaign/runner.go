@@ -48,12 +48,11 @@ func RemoteIUT(addr string) IUTFactory {
 
 // Runner executes one strategy against implementations: the campaign cell
 // runner, shared with cmd/testexec's single-run path. A Runner is
-// immutable and safe for concurrent use (strategy consultation only reads
-// the solved game graph or its compiled decision tables).
+// immutable and safe for concurrent use (consultation only reads the
+// compiled decision tables, building a node's rows once under a lock).
 type Runner struct {
-	// Strategy is the consultant runs follow: the interpreted
-	// *game.Strategy, or its compiled form (*game.CompiledStrategy) for
-	// O(1)-consultation execution.
+	// Strategy is the consultant runs follow: a result's compiled
+	// decision tables (Result.CompiledStrategy).
 	Strategy game.Consultant
 	Exec     texec.Options
 }

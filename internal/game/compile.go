@@ -1,14 +1,15 @@
 // Strategy compilation and the compiled wire format.
 //
 // Compile validates a strategy and hands back tables whose rows are still
-// empty. A node's rows are the decisions MoveAt derives on the fly (see
-// compiled.go for the row layout); buildNode enumerates them the first
-// time a consultation reaches the node, by calling the interpreter's own
-// region constructors at one representative bound per stamp-prefix level,
-// so the compiled zone decompositions are bit-identical to what the
-// interpreter would build at consultation time. A test run visits a few
-// nodes of the game graph, so most rows are never built; Encode and
-// MaxConstant, which need the whole table, build the rest in id order.
+// empty. A node's rows are the decisions the interpreted reference of the
+// package tests derives on the fly (see compiled.go for the row layout);
+// buildNode enumerates them the first time a consultation reaches the
+// node, by calling the reference's region constructors at one
+// representative bound per stamp-prefix level, so the compiled zone
+// decompositions are bit-identical to what the reference builds at
+// consultation time. A test run visits a few nodes of the game graph, so
+// most rows are never built; Encode and MaxConstant, which need the whole
+// table, build the rest in id order.
 //
 // Encode/Decode give compiled strategies a canonical, versioned binary
 // serialization so they are content-addressable artifacts: deterministic
@@ -36,13 +37,12 @@ import (
 // rows are built per node on first consultation (see CompiledStrategy).
 // The stamp-ascending check runs here over every node, so a solver
 // invariant violation fails Compile and never a later consultation. The
-// receiver is unchanged and stays valid (it remains the reference oracle
-// for the compiled form, and the source the rows are built from). Only
-// reachability (and cooperative) strategies compile; safety strategies
-// have no MoveAt consultation path.
+// receiver is unchanged and stays valid: it is the source the rows are
+// built from. Only reachability (and cooperative) strategies compile;
+// safety strategies have no MoveAt consultation path.
 func (st *Strategy) Compile() (*CompiledStrategy, error) {
-	if st.formula == nil || st.formula.Objective == tctl.Safety {
-		return nil, fmt.Errorf("game: only reachability strategies compile (safety strategies are consulted via SafeActions)")
+	if st.formula.Objective == tctl.Safety {
+		return nil, fmt.Errorf("game: %s is a safety purpose: only reachability strategies compile (safety strategies are consulted via SafeActions)", st.formula)
 	}
 	for _, n := range st.nodes {
 		for i := 1; i < len(n.deltas); i++ {
@@ -237,16 +237,6 @@ func (r *Result) CompiledStrategy() (*CompiledStrategy, error) {
 		r.compiled, r.compileErr = r.Strategy.Compile()
 	})
 	return r.compiled, r.compileErr
-}
-
-// Consultant returns the execution-facing view of the result's strategy:
-// the compiled decision tables (see CompiledStrategy), or the interpreted
-// strategy when compilation fails. The two are decision-equivalent.
-func (r *Result) Consultant() Consultant {
-	if cs, err := r.CompiledStrategy(); err == nil {
-		return cs
-	}
-	return r.Strategy
 }
 
 // --- wire format --------------------------------------------------------

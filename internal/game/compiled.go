@@ -1,13 +1,15 @@
 // Compiled strategies: per-node decision tables with O(1) consultation.
 //
-// The interpreted Strategy.MoveAt derives its decision regions on the fly —
-// every consultation walks PredThroughEdge and federation subtraction. But a
-// memoryless winning strategy is a static zone-partition → move map, and the
-// regions MoveAt derives depend on the concrete state only through (node id,
-// stamp bound), both drawn from small finite sets: per-node delta stamps are
-// strictly ascending, so winBefore(target, bound) is a prefix union of the
-// target's deltas, selected purely by how many stamps lie below the bound.
-// Compilation therefore enumerates, per node,
+// Consulting a Strategy directly would derive its decision regions on the
+// fly — every consultation walking PredThroughEdge and federation
+// subtraction (the package tests keep that interpreted consultant as
+// their reference). But a memoryless winning strategy is a static
+// zone-partition → move map, and those regions depend on the concrete
+// state only through (node id, stamp bound), both drawn from small finite
+// sets: per-node delta stamps are strictly ascending, so
+// winBefore(target, bound) is a prefix union of the target's deltas,
+// selected purely by how many stamps lie below the bound. Compilation
+// therefore enumerates, per node,
 //
 //   - the goal region and the winning deltas (for InGoal / StampAt),
 //   - per successor, the action region at every prefix level of the
@@ -18,7 +20,7 @@
 // after which CompiledStrategy.MoveAt is pure point-in-zone lookups over
 // prebuilt DBM rows: no predecessor operators, no federation allocation, no
 // subtraction on the hot path. Regions are built by the same code the
-// interpreter runs, so zone decompositions — and with them wait-tick
+// reference runs, so zone decompositions — and with them wait-tick
 // minimization and cooperative-hope tie-breaks — are identical, making the
 // compiled consultant decision-equivalent, not merely verdict-equivalent.
 //
@@ -42,8 +44,9 @@ import (
 
 // Consultant is the execution-facing strategy interface: everything a test
 // driver (internal/texec) needs to play a synthesized strategy against an
-// implementation. Both the interpreted *Strategy and the compiled
-// *CompiledStrategy satisfy it; drivers consult whichever they are handed.
+// implementation. Production runs consult a *CompiledStrategy; the
+// interface exists so tests can substitute the interpreted reference for
+// the compiled tables and compare whole runs.
 type Consultant interface {
 	// System returns the specification the strategy was synthesized for.
 	System() *model.System
@@ -66,12 +69,7 @@ type Consultant interface {
 	MaxConstant() int
 }
 
-// compile-time interface checks: the interpreted and compiled strategies
-// must stay interchangeable.
-var (
-	_ Consultant = (*Strategy)(nil)
-	_ Consultant = (*CompiledStrategy)(nil)
-)
+var _ Consultant = (*CompiledStrategy)(nil)
 
 // probe is a flattened membership test for one federation: per zone, only
 // the finite off-diagonal constraints, laid out contiguously. A consultation
@@ -224,7 +222,7 @@ func (dz *delayZone) interval(val []int64, scale int64) (dbm.Interval, bool) {
 	return iv, true
 }
 
-// maxUsefulWait mirrors the interpreter's maxUsefulWait over the flattened
+// maxUsefulWait mirrors the reference's maxUsefulWait over the flattened
 // zones: how long the valuation may wait while remaining in the region.
 func (p *probe) maxUsefulWait(val []int64, scale int64) int64 {
 	var best int64
@@ -328,8 +326,8 @@ func (n *compiledNode) forcedLevel(bound int) int {
 }
 
 // CompiledStrategy is a strategy compiled to flat per-node decision tables.
-// It is safe for any number of concurrent readers, like the interpreted
-// Strategy it was compiled from — but a consultation is pure point-in-zone
+// It is safe for any number of concurrent readers, like the Strategy it
+// was compiled from — but a consultation is pure point-in-zone
 // lookups over the node's rows, built on the node's first consultation.
 // Build one with Strategy.Compile (or Result.CompiledStrategy, which
 // compiles once and shares), revive a serialized one with Decode.
@@ -408,7 +406,7 @@ func (cs *CompiledStrategy) InGoal(id int, val []int64, scale int64) bool {
 }
 
 // MoveAt computes the strategy decision at a concrete scaled valuation
-// inside node id, replaying the interpreted decision order — goal, the
+// inside node id, replaying the reference's decision order — goal, the
 // controllable-then-hoped immediate passes, the forced boundary, the
 // wait-scan — over the precompiled rows. bound is the arrival stamp (pass
 // 0 on entry to a node to derive it automatically).

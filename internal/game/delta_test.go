@@ -185,7 +185,10 @@ func TestDeltaSolveVerdictMatchesReference(t *testing.T) {
 						if !r.Winnable {
 							continue
 						}
-						c := r.Consultant()
+						c, err := r.CompiledStrategy()
+						if err != nil {
+							t.Fatalf("%s: compile: %v", ctx, err)
+						}
 						if _, err := c.MoveAt(c.InitialNode(), make([]int64, m.Sys.NumClocks()-1), tick, 0); err != nil {
 							t.Fatalf("%s: no move at the initial valuation: %v", ctx, err)
 						}
@@ -351,7 +354,10 @@ func TestDeltaEdgeGhostVerdictMatchesReference(t *testing.T) {
 						continue
 					}
 					winnable++
-					c := r.Consultant()
+					c, err := r.CompiledStrategy()
+					if err != nil {
+						t.Fatalf("%s: compile: %v", ctx, err)
+					}
 					if _, err := c.MoveAt(c.InitialNode(), make([]int64, inst.NumClocks()-1), tick, 0); err != nil {
 						t.Fatalf("%s: no move at the initial valuation: %v", ctx, err)
 					}

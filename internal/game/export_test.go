@@ -12,3 +12,7 @@ func (cs *CompiledStrategy) BuiltNodes() (ready, builds int) {
 	}
 	return ready, cs.builds
 }
+
+// Reference returns the interpreted strategy of reference_test.go as a
+// Consultant, so external tests can drive whole runs through it.
+func Reference(st *Strategy) Consultant { return st }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -447,6 +448,31 @@ func TestServiceStatsAndErrors(t *testing.T) {
 	}
 	if st.Solver.Solves == 0 {
 		t.Fatalf("solver counters off: %+v", st.Solver)
+	}
+}
+
+// TestServiceRefusesSafetyRun: a safety purpose has no compiled
+// consultation path, so run refuses it with the error the strategy op
+// answers, for the local and the inline IUT alike, instead of executing
+// it. The daemon's batch solver rejects the purpose before compilation.
+func TestServiceRefusesSafetyRun(t *testing.T) {
+	s := startService(t, Options{})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const purpose = "control: A[] not IUT.Bright"
+	_, want := c.Strategy("smartlight", purpose, "strict")
+	if want == nil || !strings.Contains(want.Error(), "reachability purposes only") {
+		t.Fatalf("strategy op: got %v, want a refusal of the safety purpose", want)
+	}
+	for _, iut := range []tiots.IUT{nil, smartlightIUT()} {
+		run, err := c.Run(Request{Model: "smartlight", Purpose: purpose, Mode: "strict"}, iut)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("run (inline=%v): got %+v, %v; want %v", iut != nil, run, err, want)
+		}
 	}
 }
 

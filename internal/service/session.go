@@ -302,35 +302,28 @@ type resolved struct {
 	enc  []byte                 // ... and their canonical wire encoding
 }
 
-// encoded returns the canonical compiled wire encoding and its checksum,
-// re-shipping the owner's bytes for peer-fetched strategies and compiling
-// locally otherwise.
-func (rv *resolved) encoded() ([]byte, string, error) {
-	if rv.cs != nil && rv.enc != nil {
-		return rv.enc, fmt.Sprintf("%016x", rv.cs.Checksum()), nil
+// compiled returns the decision tables: shipped by the owner for
+// peer-fetched strategies, compiled once per cached Result otherwise.
+func (rv *resolved) compiled() (*game.CompiledStrategy, error) {
+	if rv.cs != nil {
+		return rv.cs, nil
 	}
-	cs, err := rv.res.CompiledStrategy()
+	return rv.res.CompiledStrategy()
+}
+
+// encoded returns the canonical compiled wire encoding and its checksum,
+// re-shipping the owner's bytes for peer-fetched strategies and encoding
+// the local tables otherwise.
+func (rv *resolved) encoded() ([]byte, string, error) {
+	cs, err := rv.compiled()
 	if err != nil {
 		return nil, "", err
 	}
-	data := cs.Encode()
+	data := rv.enc
+	if data == nil {
+		data = cs.Encode()
+	}
 	return data, fmt.Sprintf("%016x", cs.Checksum()), nil
-}
-
-// consultant picks the execution strategy: compiled decision tables when
-// available (shared per cached Result locally, shipped by the owner for
-// peer-fetched strategies), the interpreted strategy as the fallback for
-// the non-reachability purposes compilation rejects.
-func (rv *resolved) consultant(s *Service) game.Consultant {
-	if rv.cs != nil {
-		s.compiledHits.Add(1)
-		return rv.cs
-	}
-	consult := rv.res.Consultant()
-	if _, ok := consult.(*game.CompiledStrategy); ok {
-		s.compiledHits.Add(1)
-	}
-	return consult
 }
 
 // synthInfo assembles the synthesis outcome descriptor for a local solve.
@@ -498,6 +491,11 @@ func (ss *session) run(req *Request, done <-chan struct{}) *Response {
 	if !info.Winnable {
 		return errResp("purpose %s is not winnable under mode %s", info.Purpose, info.Mode)
 	}
+	cs, err := rv.compiled()
+	if err != nil {
+		return errResp("compile: %v", err)
+	}
+	ss.s.compiledHits.Add(1)
 
 	var factory campaign.IUTFactory
 	var wire *adapter.Client
@@ -522,9 +520,8 @@ func (ss *session) run(req *Request, done <-chan struct{}) *Response {
 		return errResp("unknown iut %q (use local or inline)", req.IUT)
 	}
 
-	consult := rv.consultant(ss.s)
 	runner := &campaign.Runner{
-		Strategy: consult,
+		Strategy: cs,
 		Exec:     texec.Options{PlantProcs: me.plant, Scale: ss.s.opts.Scale, Cancel: done},
 	}
 	repeats := req.Repeats

@@ -13,7 +13,7 @@ import (
 // coopStrategy synthesizes a cooperative strategy for a purpose the tester
 // cannot force: Bright before the user could re-touch (z < 1) requires the
 // light to volunteer bright! from L5.
-func coopStrategy(t *testing.T) (*model.System, *game.Strategy, []int) {
+func coopStrategy(t *testing.T) (*model.System, *game.CompiledStrategy, []int) {
 	t.Helper()
 	sys := models.SmartLight()
 	plant := models.SmartLightPlant(sys)
@@ -33,7 +33,11 @@ func coopStrategy(t *testing.T) (*model.System, *game.Strategy, []int) {
 	if !coop.Winnable {
 		t.Fatal("cooperatively the plant can grant it")
 	}
-	return sys, coop.Strategy, plant
+	cs, err := coop.CompiledStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, cs, plant
 }
 
 func TestCooperativePassWithHelpfulPlant(t *testing.T) {

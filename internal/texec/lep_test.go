@@ -16,7 +16,7 @@ import (
 // the node has learned better info, forwarded it (fwd! observed) and is
 // idle again. Unlike bare TP1 this cannot pass without the implementation
 // actually producing its output.
-func lepStrategy(t *testing.T, n int) (*model.System, *game.Strategy, []int) {
+func lepStrategy(t *testing.T, n int) (*model.System, *game.CompiledStrategy, []int) {
 	t.Helper()
 	sys := models.LEP(models.LEPOptions{Nodes: n})
 	plant := models.LEPPlant(sys)
@@ -29,7 +29,11 @@ func lepStrategy(t *testing.T, n int) (*model.System, *game.Strategy, []int) {
 	if !res.Winnable {
 		t.Fatal("learn-and-forward must be winnable (fwd! is invariant-forced)")
 	}
-	return sys, res.Strategy, plant
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, cs, plant
 }
 
 func TestLEPConformantNodePasses(t *testing.T) {
@@ -113,8 +117,12 @@ func TestLEPTP2BufferFillExecution(t *testing.T) {
 	if err != nil || !res.Winnable {
 		t.Fatalf("TP2 solve: %v", err)
 	}
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
 	impl := model.ExtractPlant(sys, plant, "Harness")
-	r := Run(res.Strategy, tiots.NewDetIUT(impl, tiots.Scale, nil), Options{PlantProcs: plant})
+	r := Run(cs, tiots.NewDetIUT(impl, tiots.Scale, nil), Options{PlantProcs: plant})
 	if r.Verdict != Pass {
 		t.Fatalf("buffer-fill strategy must pass against a conformant node: %s\ntrace: %s",
 			r, r.Trace.Format(sys, tiots.Scale))

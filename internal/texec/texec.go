@@ -6,9 +6,9 @@
 // purpose yields pass, a tioco violation yields fail; cooperative
 // strategies (and internal errors) may end inconclusive.
 //
-// Key entry points: Run drives one strategy consultant (the interpreted
-// game.Strategy or a compiled game.CompiledStrategy) against one tiots.IUT
-// under Options (plant processes, tick scale, per-run seed);
+// Key entry points: Run drives one strategy consultant (a compiled
+// game.CompiledStrategy; tests substitute the interpreted reference
+// through game.Consultant) against one tiots.IUT under Options (plant processes, tick scale, per-run seed);
 // GuessPlantProcs picks the implementation-side processes by
 // output-emission convention.
 // Run is pure apart from the IUT it drives: strategies and specifications

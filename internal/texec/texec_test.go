@@ -14,7 +14,7 @@ import (
 )
 
 // solveLight synthesizes the Fig. 5 strategy once for the whole file.
-func solveLight(t *testing.T) (*model.System, *game.Strategy) {
+func solveLight(t *testing.T) (*model.System, *game.CompiledStrategy) {
 	t.Helper()
 	s := models.SmartLight()
 	f := tctl.MustParse(models.SmartLightEnv(s), models.SmartLightGoal)
@@ -25,7 +25,11 @@ func solveLight(t *testing.T) (*model.System, *game.Strategy) {
 	if !res.Winnable {
 		t.Fatal("smartlight must be winnable")
 	}
-	return s, res.Strategy
+	cs, err := res.CompiledStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, cs
 }
 
 // lightIUT builds a simulated implementation from the light's plant with

@@ -11,17 +11,12 @@
 //     e.g. "control: A<> IUT.Bright".
 //  3. Synthesize a winning strategy with Synthesize (an on-the-fly timed
 //     game solver in the spirit of UPPAAL-TIGA).
-//  4. Execute the strategy against a black-box implementation with Test
-//     (Algorithm 3.1): inputs are offered, outputs and their timing are
-//     checked against the spec via the tioco relation, and the run ends in
-//     pass, fail or inconclusive.
+//  4. Execute the strategy's compiled decision tables against a black-box
+//     implementation with Test (Algorithm 3.1): inputs are offered, outputs
+//     and their timing are checked against the spec via the tioco relation,
+//     and the run ends in pass, fail or inconclusive.
 //
-// Quick start:
-//
-//	sys := models.SmartLight()
-//	res, err := tigatest.Synthesize(sys, "control: A<> IUT.Bright", nil)
-//	iut := tigatest.SimulatedIUT(sys, models.SmartLightPlant(sys), nil)
-//	verdict := tigatest.Test(res.Strategy, iut, models.SmartLightPlant(sys))
+// Example runs the whole pipeline on the paper's Smart Light.
 package tigatest
 
 import (
@@ -136,13 +131,9 @@ func ParseFormula(sys *System, formula string, ranges map[string]Range) (*Formul
 }
 
 // Synthesize parses the test purpose and solves the timed game, returning
-// winnability, statistics and — for winnable reachability objectives — a
-// winning strategy. opts may be nil for defaults. Synthesis explores the
-// zone graph on SolveOptions.Workers goroutines and propagates winning
-// sets bottom-up over the SCC condensation on
-// SolveOptions.PropagationWorkers goroutines (all cores by default;
-// Workers: 1 is a pool of one); the computed winning sets are
-// semantically identical for every worker count.
+// winnability, statistics and, when winnable, a winning strategy. opts may
+// be nil for defaults; SolveOptions documents the worker counts, and the
+// winning sets are the same for every count.
 func Synthesize(sys *System, formula string, ranges map[string]Range, opts ...SolveOptions) (*SolveResult, error) {
 	f, err := ParseFormula(sys, formula, ranges)
 	if err != nil {
@@ -155,21 +146,30 @@ func Synthesize(sys *System, formula string, ranges map[string]Range, opts ...So
 	return game.Solve(sys, f, o)
 }
 
-// Test executes the strategy against the implementation under Algorithm
-// 3.1 and returns the verdict. plantProcs identifies the IUT processes of
-// the specification model.
+// Test compiles the strategy and executes it against the implementation
+// under Algorithm 3.1; plantProcs identifies the specification's IUT
+// processes. A strategy Compile refuses (a safety purpose's) is
+// inconclusive after 0 steps, with Compile's error as the reason.
 func Test(strat *Strategy, iut IUT, plantProcs []int) TestResult {
-	return texec.Run(strat, iut, texec.Options{PlantProcs: plantProcs})
+	return TestWithOptions(strat, iut, TestOptions{PlantProcs: plantProcs})
 }
 
 // TestWithOptions is Test with full control over the execution options.
 func TestWithOptions(strat *Strategy, iut IUT, opts TestOptions) TestResult {
-	return texec.Run(strat, iut, opts)
+	cs, err := strat.Compile()
+	if err != nil {
+		return TestResult{Verdict: Inconclusive, Reason: err.Error()}
+	}
+	return texec.Run(cs, iut, opts)
 }
 
-// Campaign runs the strategy n times and aggregates verdicts.
+// Campaign aggregates the verdicts of n Test runs, compiling the strategy once.
 func Campaign(name string, strat *Strategy, iut IUT, n int, opts TestOptions) texec.CampaignResult {
-	return texec.Campaign(name, strat, iut, n, opts)
+	cs, err := strat.Compile()
+	if err != nil {
+		return texec.CampaignResult{Name: name, Runs: n, Incon: n, Reasons: map[string]int{"inconclusive: " + err.Error(): n}}
+	}
+	return texec.Campaign(name, cs, iut, n, opts)
 }
 
 // SimulatedIUT builds an in-process deterministic implementation from the
@@ -208,8 +208,7 @@ func DialIUT(addr string) (*adapter.Client, error) {
 
 // MutantIUT builds a simulated implementation from a mutant model.
 func MutantIUT(m *Mutant, plantProcs []int, policy *DetPolicy) IUT {
-	impl := model.ExtractPlant(m.Sys, plantProcs, "TesterStub")
-	return tiots.NewDetIUT(impl, tiots.Scale, policy)
+	return SimulatedIUT(m.Sys, plantProcs, policy)
 }
 
 // Describe returns a short human-readable synopsis of a solve result.

@@ -105,6 +105,34 @@ func TestFacadeCampaign(t *testing.T) {
 	}
 }
 
+// TestFacadeRefusesSafety: a safety strategy does not compile, so Test,
+// TestWithOptions and Campaign end inconclusive before the first step,
+// with Compile's error naming the purpose as the reason.
+func TestFacadeRefusesSafety(t *testing.T) {
+	sys, plant := buildDoorbell()
+	const purpose = "control: A[] not Bell.Rung"
+	res, err := Synthesize(sys, purpose, nil)
+	if err != nil || !res.Winnable || res.Strategy == nil {
+		t.Fatalf("never pressing keeps the bell silent: %v", err)
+	}
+	_, cerr := res.Strategy.Compile()
+	if cerr == nil || !strings.Contains(cerr.Error(), purpose+" is a safety purpose") {
+		t.Fatalf("compile: got %v, want an error naming the safety purpose", cerr)
+	}
+	for _, v := range []TestResult{
+		Test(res.Strategy, SimulatedIUT(sys, plant, nil), plant),
+		TestWithOptions(res.Strategy, SimulatedIUT(sys, plant, nil), TestOptions{PlantProcs: plant}),
+	} {
+		if v.Verdict != Inconclusive || v.Reason != cerr.Error() || v.Steps != 0 {
+			t.Fatalf("got %s, want inconclusive (%v) after 0 steps", v, cerr)
+		}
+	}
+	cr := Campaign("silent", res.Strategy, SimulatedIUT(sys, plant, nil), 3, TestOptions{PlantProcs: plant})
+	if cr.Runs != 3 || cr.Incon != 3 || cr.Reasons["inconclusive: "+cerr.Error()] != 3 {
+		t.Fatalf("campaign: %+v", cr)
+	}
+}
+
 func TestFacadeRemote(t *testing.T) {
 	sys, plant := buildDoorbell()
 	res, _ := Synthesize(sys, "control: A<> Bell.Rung", nil)
