@@ -6,7 +6,7 @@
 // reproducible — the adapter transports the paper's Fig. 1/Fig. 4 arrows
 // "input", "output" and time.
 //
-// The protocol is transport-agnostic: Message, Apply, ServeConn and
+// The protocol is transport-agnostic: Message, Apply, ServeConnIdle and
 // ClientOn expose it for other carriers, e.g. the service layer hosting
 // online test sessions on a control connection (the daemon drives the
 // protocol through ClientOn, the remote implementation answers through
@@ -34,7 +34,7 @@ import (
 
 // Deadliner is the deadline-control subset of net.Conn the idle-timeout
 // support needs. Streams that do not implement it are served without I/O
-// deadlines (ServeConnIdle degrades to ServeConn behavior).
+// deadlines (ServeConnIdle then never times out).
 type Deadliner interface {
 	SetReadDeadline(t time.Time) error
 	SetWriteDeadline(t time.Time) error
@@ -47,16 +47,6 @@ type Message struct {
 	Ticks int64  `json:"ticks,omitempty"` // advance budget / output offset
 	Seed  int64  `json:"seed,omitempty"`  // rng seed for randomized IUTs
 	Err   string `json:"err,omitempty"`
-}
-
-// IsRequest reports whether the frame is a driver-side request (as opposed
-// to an implementation-side reply or a foreign frame on a shared stream).
-func (m Message) IsRequest() bool {
-	switch m.Type {
-	case "reset", "seed", "offer", "advance":
-		return true
-	}
-	return false
 }
 
 // Apply executes one protocol request against the implementation and
@@ -185,21 +175,15 @@ func (s *Server) handle(conn net.Conn, iut tiots.IUT) {
 	_ = ServeConnIdle(conn, iut, s.idleTimeout())
 }
 
-// ServeConn serves one session of the wire protocol on an arbitrary stream
-// until it fails to decode (connection closed or foreign bytes). It does
-// not close the stream.
-func ServeConn(rw io.ReadWriter, iut tiots.IUT) {
-	_ = ServeConnIdle(rw, iut, 0)
-}
-
-// ServeConnIdle serves one session like ServeConn but bounds every frame
-// exchange when idle > 0 and the stream controls deadlines (Deadliner —
-// every net.Conn does): a read or write that stalls past idle ends the
-// session with the deadline error. It returns nil on clean end-of-stream
-// and the terminating error otherwise (idle expiries satisfy
-// net.Error.Timeout); write errors terminate the exchange rather than
-// being silently dropped, so a half-closed peer is detected on the reply,
-// not one stalled read later.
+// ServeConnIdle serves one session of the wire protocol on an arbitrary
+// stream until it fails to decode (connection closed or foreign bytes),
+// without closing the stream. It bounds every frame exchange when idle > 0
+// and the stream controls deadlines (Deadliner — every net.Conn does): a
+// read or write that stalls past idle ends the session with the deadline
+// error. It returns nil on clean end-of-stream and the terminating error
+// otherwise (idle expiries satisfy net.Error.Timeout); write errors
+// terminate the exchange rather than being silently dropped, so a
+// half-closed peer is detected on the reply, not one stalled read later.
 func ServeConnIdle(rw io.ReadWriter, iut tiots.IUT, idle time.Duration) error {
 	dec := json.NewDecoder(bufio.NewReader(rw))
 	enc := json.NewEncoder(rw)
@@ -276,15 +260,10 @@ func (c *Client) Err() error { return c.err }
 // SetIdleTimeout bounds every wire round trip of this client: a remote
 // that stalls longer than d mid-exchange surfaces as a transport error
 // (Err; satisfies net.Error.Timeout) instead of hanging the driver
-// forever. 0 — the default — waits forever. Dial clients carry deadline
-// control already; ClientOn clients additionally need SetDeadliner, since
-// a bare encoder/decoder pair has none.
+// forever. 0 — the default — waits forever. Only Dial clients have
+// deadline control; on a ClientOn client, whose bare encoder/decoder pair
+// has none, the timeout has no effect.
 func (c *Client) SetIdleTimeout(d time.Duration) { c.idle = d }
-
-// SetDeadliner supplies deadline control for ClientOn clients whose
-// underlying stream has it (e.g. the net.Conn a shared decoder/encoder
-// pair was built over).
-func (c *Client) SetDeadliner(dl Deadliner) { c.dl = dl }
 
 func (c *Client) roundTrip(m Message) (Message, error) {
 	if c.err != nil {

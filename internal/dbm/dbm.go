@@ -623,18 +623,3 @@ func (d *DBM) String() string {
 	}
 	return strings.Join(parts, " & ")
 }
-
-// FiniteBounds counts stored bounds that are not infinity, a crude size
-// metric used by the benchmark memory accounting.
-func (d *DBM) FiniteBounds() int {
-	if d == nil {
-		return 0
-	}
-	n := 0
-	for _, b := range d.m {
-		if b != Infinity {
-			n++
-		}
-	}
-	return n
-}

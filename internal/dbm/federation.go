@@ -143,18 +143,6 @@ func (f *Federation) Intersect(o *Federation) *Federation {
 	return r
 }
 
-// IntersectDBM returns f ∧ z.
-func (f *Federation) IntersectDBM(z *DBM) *Federation {
-	r := NewFederation(f.dim)
-	if f.IsEmpty() || z == nil {
-		return r
-	}
-	for _, a := range f.zs {
-		r.Add(a.Intersect(z))
-	}
-	return r
-}
-
 // SubtractDBM computes a - b as a federation of disjoint zones using the
 // standard constraint-splitting decomposition: walk the facets of b that
 // actually cut a, emitting a ∧ c1 ∧ .. ∧ c(k-1) ∧ ¬ck.
@@ -264,29 +252,6 @@ func (f *Federation) SubtractInPlace(o *Federation) {
 	}
 	f.zs = cur
 	next.recycle()
-}
-
-// IntersectDBMInPlace conjoins z into every zone of f, dropping (and
-// releasing) zones that become empty. f and its zones must be exclusively
-// owned. Inclusion reduction is not reapplied, so the decomposition may
-// keep zones a rebuild via Add would have dropped (semantics unaffected).
-func (f *Federation) IntersectDBMInPlace(z *DBM) {
-	if f.IsEmpty() {
-		return
-	}
-	if z == nil {
-		f.Release()
-		return
-	}
-	out := f.zs[:0]
-	for _, a := range f.zs {
-		if a.IntersectInPlace(z) {
-			out = append(out, a)
-		} else {
-			a.Release()
-		}
-	}
-	f.zs = out
 }
 
 // Release returns every zone of f and f's own wrapper to the allocator.

@@ -13,10 +13,7 @@
 // to share; a Ctx or a Parser is single-caller.
 package expr
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // VarDecl declares a bounded integer variable or array.
 type VarDecl struct {
@@ -426,13 +423,4 @@ func Truth(c *Ctx, e Expr) (bool, error) {
 		return false, err
 	}
 	return v != 0, nil
-}
-
-// FormatAssigns renders assignments as "a := 1, b := 2".
-func FormatAssigns(as []Assign) string {
-	parts := make([]string, len(as))
-	for i, a := range as {
-		parts[i] = a.String()
-	}
-	return strings.Join(parts, ", ")
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tigatest/internal/dbm"
+	"tigatest/internal/model"
 	"tigatest/internal/models"
 	"tigatest/internal/symbolic"
 	"tigatest/internal/tctl"
@@ -292,6 +293,73 @@ func TestMaxConstantMatchesCompiled(t *testing.T) {
 		}
 		if m := slices.Max(c.st.ex.Max); want < m {
 			t.Errorf("%s: MaxConstant %d below the extrapolation maximum %d", c.name, want, m)
+		}
+	}
+}
+
+// windowGame builds A --go(controllable, x>1, x<2 or x<=2)--> B: the
+// tester must wait into the guard's window, then take go.
+func windowGame(hi func(clock, k int) model.ClockConstraint) *model.System {
+	s := model.NewSystem("window")
+	x := s.AddClock("x")
+	p := s.AddProcess("Plant")
+	a := p.AddLocation(model.Location{Name: "A"})
+	b := p.AddLocation(model.Location{Name: "B"})
+	s.AddEdge(p, model.Edge{
+		Src: a, Dst: b, Dir: model.NoSync, Kind: model.Controllable,
+		Guard: model.Guard{Clocks: []model.ClockConstraint{model.GT(x, 1), hi(x, 2)}},
+	})
+	return s
+}
+
+// TestWaitScanLandsInRegion checks that every wait the scan returns lands
+// inside the region it waited for, so the strategy acts (or is at the goal)
+// on reconsulting there. A strict upper bound is the edge case: at scale 1
+// no whole tick lies in x∈(1,2), so the scan must answer "no progress"
+// rather than wait onto x=2; with x<=2 it waits two ticks and acts.
+func TestWaitScanLandsInRegion(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		hi     func(clock, k int) model.ClockConstraint
+		scale1 bool // a whole-tick wait reaches the window at scale 1
+	}{
+		{"strict", model.LT, false},
+		{"weak", model.LE, true},
+	} {
+		res := solveStr(t, windowGame(tc.hi), "control: A<> Plant.B", Options{})
+		if !res.Winnable {
+			t.Fatalf("%s: window game must be winnable", tc.name)
+		}
+		cs, err := res.CompiledStrategy()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			c    Consultant
+		}{{"compiled", cs}, {"interpreted", Reference(res.Strategy)}} {
+			init := c.c.InitialNode()
+			for scale := int64(1); scale <= 4; scale++ {
+				for x := int64(0); x <= 2*scale; x++ {
+					ctx := fmt.Sprintf("%s/%s scale %d x=%d", tc.name, c.name, scale, x)
+					mv, err := c.c.MoveAt(init, []int64{x}, scale, 0)
+					if scale == 1 && x == 0 && !tc.scale1 {
+						if err == nil {
+							t.Fatalf("%s: no whole tick lies in the window, got %v", ctx, mv)
+						}
+						continue
+					}
+					if err != nil || mv.Kind != MoveWait {
+						continue
+					}
+					land := x + mv.WaitTicks
+					next, err := c.c.MoveAt(init, []int64{land}, scale, 0)
+					if err != nil || next.Kind != MoveAction {
+						t.Fatalf("%s: waited %d ticks onto x=%d/%d, outside the window: %v, %v",
+							ctx, mv.WaitTicks, land, scale, next, err)
+					}
+				}
+			}
 		}
 	}
 }

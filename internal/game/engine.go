@@ -195,7 +195,6 @@ func (s *solver) wire(id int, succs []workerSucc) {
 		}
 		n.succs = append(n.succs, succRef{trans: ws.trans, target: ws.n.id})
 		ws.n.addPred(id)
-		s.logCondEdit(id, ws.n.id)
 	}
 	s.scheduleReeval(id)
 }
@@ -287,10 +286,10 @@ func (s *solver) exploreAll() error {
 
 // runOnTheFly is the on-the-fly algorithm: rounds that alternate an
 // exploration of the whole current frontier with an SCC propagation pass
-// over the incremental condensation of the graph explored so far, seeded
-// with this round's scheduled nodes (propagate.go). Early termination is
-// checked inside the pass whenever the initial node's winning set grows and
-// again between rounds.
+// over a fresh condensation of the graph explored so far, seeded with this
+// round's scheduled nodes (propagate.go). Early termination is checked
+// inside the pass whenever the initial node's winning set grows and again
+// between rounds.
 func (s *solver) runOnTheFly() error {
 	for len(s.exploreQ) > 0 || len(s.reevalQ) > 0 {
 		if len(s.reevalQ) > 0 {

@@ -129,6 +129,8 @@ func TestPropagationWorkersOption(t *testing.T) {
 // TestPropagationStatsCounters checks that Solve's SCC engine reports its
 // per-phase effort: a condensation with at least one component, at least
 // one propagation pass, and (for the full-graph backward solve) reevals.
+// A full on-the-fly solve runs several passes, the last over the whole
+// final graph.
 // Batch solves run the seeded worklist and must report no SCC counters.
 func TestPropagationStatsCounters(t *testing.T) {
 	sys := models.LEP(models.LEPOptions{Nodes: 3})
@@ -147,6 +149,25 @@ func TestPropagationStatsCounters(t *testing.T) {
 	if st.Reevals == 0 || st.Updates == 0 {
 		t.Fatalf("propagation counters empty: %+v", st)
 	}
+
+	// A full on-the-fly solve runs a pass per frontier round, and its last
+	// pass condenses the whole final graph.
+	otf, err := Solve(sys, f, Options{Algorithm: OnTheFly, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if otf.Stats.PropagationRounds <= 1 {
+		t.Fatalf("on-the-fly solve ran %d propagation passes, want several", otf.Stats.PropagationRounds)
+	}
+	nodes := otf.debugNodes
+	_, comps := tarjanSCC(len(nodes),
+		func(u int) int { return len(nodes[u].succs) },
+		func(u, i int) int { return nodes[u].succs[i].target },
+	)
+	if otf.Stats.SCCs != len(comps) {
+		t.Fatalf("last pass condensed %d components, the final graph has %d", otf.Stats.SCCs, len(comps))
+	}
+
 	b, err := NewBatch(sys, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func (st *Strategy) MoveAt(id int, val []int64, scale int64, bound int) (Move, e
 			if d <= 0 {
 				d = 1 // must make progress; zero handled above
 			}
-			if iv.Unbounded || d <= iv.Hi || (d == iv.Hi && !iv.HiStrict) {
+			if iv.Unbounded || d < iv.Hi || (d == iv.Hi && !iv.HiStrict) {
 				if best < 0 || d < best {
 					best = d
 					hoped = h

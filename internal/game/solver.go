@@ -114,12 +114,11 @@ type Options struct {
 	// ErrBudget so callers can tell an external abort from resource
 	// exhaustion. The channel must only ever be closed, never sent on.
 	Cancel <-chan struct{}
-	// DisableIncremental turns off every incremental re-solve path (the
-	// E10 ablation): condensations are rebuilt from scratch instead of
-	// updated from the edge log, and Batch.SolveDelta falls back to a cold
-	// exploration of the mutated system (over the same merged extrapolation
-	// maxima, so graphs, node counts and reports stay byte-identical with
-	// the ablation on or off).
+	// DisableIncremental is the E10 ablation: Batch.SolveDelta and
+	// SolveDeltaEdgeGhost explore the mutated system cold instead of
+	// replaying it over the core skeleton (under the same merged
+	// extrapolation maxima, so graphs, node counts and reports stay
+	// byte-identical with the ablation on or off). Solve ignores it.
 	DisableIncremental bool
 }
 
@@ -146,7 +145,7 @@ type Stats struct {
 	SCCs                     int // components in the last condensation of the graph
 	PropagationRounds        int // SCC propagation passes run
 	CrossSCCMessages         int // reschedules that crossed a component boundary
-	CondensationIncrementals int // condensations updated in place from the edge log
+	CondensationIncrementals int // always 0: every pass condenses from scratch (kept for readers of the field)
 
 	// Batch counters (zero outside game.Batch solving): whether this solve
 	// reused an already-explored skeleton for its extrapolation signature.
@@ -275,13 +274,6 @@ type solver struct {
 	safety         bool            // solving the safety dual (win federations hold LOSING sets)
 	noGoal         *dbm.Federation // the empty goal shared by every node φ misses
 
-	// Condensation cache: condense() updates lastCond incrementally from
-	// condEdits — the edges appended to pre-condensation nodes since it was
-	// computed (see scc.go).
-	lastCond      *condensation
-	lastCondNodes int
-	condEdits     [][2]int32
-
 	exploreQ []int
 	reevalQ  []int
 	inReeval []bool
@@ -369,15 +361,6 @@ func (s *solver) finishResult() (*Result, error) {
 	}
 	res.debugNodes = s.nodes
 	return res, nil
-}
-
-// DebugNodeLabel renders a node for diagnostics (id, locations, zone).
-func (r *Result) DebugNodeLabel(sys *model.System, id int) string {
-	if id < 0 || id >= len(r.debugNodes) {
-		return fmt.Sprintf("node %d", id)
-	}
-	n := r.debugNodes[id]
-	return fmt.Sprintf("node %d %s vars=%v zone=%s", id, sys.LocationString(n.st.Locs), n.st.Vars, n.st.Zone)
 }
 
 // budgetNodesErr reports the MaxNodes budget as exhausted.

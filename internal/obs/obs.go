@@ -199,14 +199,6 @@ func (s Snapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Mean returns the average observation in seconds (0 when empty).
-func (s Snapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return (time.Duration(s.SumNanos) / time.Duration(s.Count)).Seconds()
-}
-
 // WriteProm renders the snapshot as one Prometheus histogram family:
 // HELP/TYPE header, cumulative `_bucket{le="..."}` series ending in
 // le="+Inf", then `_sum` (seconds) and `_count`.

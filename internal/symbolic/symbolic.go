@@ -110,9 +110,6 @@ type Transition struct {
 	Label string
 }
 
-// IsSync reports whether the transition synchronizes on a channel.
-func (t *Transition) IsSync() bool { return t.Chan >= 0 }
-
 // Succ is a successor state reached by a transition.
 type Succ struct {
 	Trans Transition
