@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"tigatest"
 	"tigatest/internal/models"
@@ -44,8 +45,14 @@ func main() {
 			t.incon++
 		}
 	}
+	ops := make([]string, 0, len(byOp))
+	for op := range byOp {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
 	total, killed := 0, 0
-	for op, t := range byOp {
+	for _, op := range ops {
+		t := byOp[op]
 		n := t.killed + t.passed + t.incon
 		fmt.Printf("  %-18s %3d mutants, %3d killed, %3d passed, %3d inconclusive\n",
 			op, n, t.killed, t.passed, t.incon)

@@ -126,7 +126,7 @@ func (cs *CompiledStrategy) buildNode(id int) {
 		csc.trans = sc.trans
 		csc.target = sc.target
 		csc.ctrl = sc.trans.Kind == model.Controllable
-		csc.usable = st.moveUsable(&sc.trans)
+		csc.usable = st.moveUsable(sc.trans)
 		csc.stamps = make([]int, len(target.deltas))
 		for j, d := range target.deltas {
 			csc.stamps[j] = d.stamp
@@ -381,6 +381,7 @@ func Decode(sys *model.System, data []byte) (*CompiledStrategy, error) {
 			n.deltas[d].fed = r.fed(cs.dim)
 		}
 		n.succs = make([]compiledSucc, r.count(17))
+		trans := make([]symbolic.Transition, len(n.succs))
 		for j := range n.succs {
 			sc := &n.succs[j]
 			chanIdx := int(int32(r.u32()))
@@ -407,7 +408,8 @@ func Decode(sys *model.System, data []byte) (*CompiledStrategy, error) {
 			} else if len(es) == 1 {
 				label = fmt.Sprintf("tau(%s)", sys.EdgeLabel(es[0]))
 			}
-			sc.trans = symbolic.Transition{Kind: kind, Chan: chanIdx, Edges: es, Label: label}
+			trans[j] = symbolic.Transition{Kind: kind, Chan: chanIdx, Edges: es, Label: label}
+			sc.trans = &trans[j]
 			sc.ctrl = kind == model.Controllable
 			sc.usable = sc.ctrl || cs.coop
 			sc.stamps = make([]int, r.count(4))

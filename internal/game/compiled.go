@@ -280,7 +280,7 @@ type compiledDelta struct {
 // action region when l of the target's stamps lie strictly below the
 // consultation bound (l = 0 is the empty region: no winning prefix yet).
 type compiledSucc struct {
-	trans   symbolic.Transition
+	trans   *symbolic.Transition
 	target  int
 	ctrl    bool              // controllable transition
 	usable  bool              // consulted for moves (controllable, or any in coop mode)
@@ -431,10 +431,10 @@ func (cs *CompiledStrategy) MoveAt(id int, val []int64, scale int64, bound int) 
 			lv := sc.levelAt(bound)
 			if sc.prs[lv].contains(val, scale) {
 				if sc.ctrl {
-					return Move{Kind: MoveAction, Trans: &sc.trans, Target: sc.target}, nil
+					return Move{Kind: MoveAction, Trans: sc.trans, Target: sc.target}, nil
 				}
 				wait := sc.prs[lv].maxUsefulWait(val, scale)
-				return Move{Kind: MoveWait, WaitTicks: wait, Hoped: &sc.trans}, nil
+				return Move{Kind: MoveWait, WaitTicks: wait, Hoped: sc.trans}, nil
 			}
 		}
 	}
@@ -476,7 +476,7 @@ func (cs *CompiledStrategy) MoveAt(id int, val []int64, scale int64, bound int) 
 		}
 		var h *symbolic.Transition
 		if !sc.ctrl {
-			h = &sc.trans
+			h = sc.trans
 		}
 		consider(&sc.prs[sc.levelAt(bound)], h)
 	}
@@ -496,8 +496,8 @@ func (cs *CompiledStrategy) FollowTransition(id int, chanIdx int, val []int64, s
 		if sc.trans.Chan != chanIdx {
 			continue
 		}
-		if transGuardHolds(&sc.trans, val, scale) {
-			return &sc.trans, sc.target, nil
+		if transGuardHolds(sc.trans, val, scale) {
+			return sc.trans, sc.target, nil
 		}
 	}
 	name := "?"

@@ -89,7 +89,7 @@ func (st *Strategy) PlayCover() *Cover {
 			// during a supervised play? actionRegion output zones are fresh
 			// (PredThroughEdge clones), so the intermediates can be released.
 			region := st.actionRegion(n, sc, 0)
-			if !st.moveUsable(&sc.trans) {
+			if !st.moveUsable(sc.trans) {
 				// Strict strategy, plant-owned output: possible wherever the
 				// play is winning here and the landing point stays winning.
 				narrowed := region.Intersect(n.win)

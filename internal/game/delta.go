@@ -329,7 +329,7 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 		spliceGuardOnly
 		spliceFire
 	)
-	classify := func(t symbolic.Transition) int {
+	classify := func(t *symbolic.Transition) int {
 		r := spliceCopy
 		for _, e := range t.Edges {
 			if chLoc[e.Proc][e.Dst] {
@@ -353,7 +353,7 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	// base entry — present or absent — is exactly what a cold exploration of
 	// the mutant would produce here. Both cuts land on owned scratch zones;
 	// emptiness on both sides counts as unchanged (disabled in both).
-	guardCutUnchanged := func(z *dbm.DBM, t symbolic.Transition) bool {
+	guardCutUnchanged := func(z *dbm.DBM, t *symbolic.Transition) bool {
 		zb, zm := z.Clone(), z.Clone()
 		okb, okm := true, true
 		for _, e := range t.Edges {
@@ -480,7 +480,7 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	// findBase locates the base successor fired by the same participating
 	// edges (matched by global ID — unique per state, so the scan needs no
 	// order bookkeeping); -1 means the candidate was disabled in the base.
-	findBase := func(o *node, t symbolic.Transition) int {
+	findBase := func(o *node, t *symbolic.Transition) int {
 		for j := range o.succs {
 			be := o.succs[j].trans.Edges
 			if len(be) != len(t.Edges) {
@@ -506,7 +506,7 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 	// share one memoized template list, so the per-state replay never
 	// re-scans edges or re-classifies candidates.
 	type candTmpl struct {
-		t   symbolic.Transition
+		t   *symbolic.Transition
 		cls int
 	}
 	cands := map[string][]candTmpl{}
@@ -520,8 +520,7 @@ func deltaReplay(core *skeleton, mutEx *symbolic.Explorer, es *model.EditSet, ba
 			return c
 		}
 		var list []candTmpl
-		mutEx.Candidates(st, func(t symbolic.Transition) error {
-			t.Edges = append([]*model.Edge(nil), t.Edges...)
+		mutEx.Candidates(st, func(t *symbolic.Transition) error {
 			list = append(list, candTmpl{t: t, cls: classify(t)})
 			return nil
 		})

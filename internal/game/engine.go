@@ -32,43 +32,60 @@ import (
 // lookups of distinct discrete states rarely contend.
 const storeShardCount = 64
 
-// storeShard is one lock stripe of the node store: an open chain from full
-// state hash to the interned nodes carrying that hash.
+// storeShard is one lock stripe of the node store: an open chain from
+// discrete hash to the interned nodes carrying it, each with its zone hash.
+// All zones of one discrete part share a chain, so a new node finds the
+// discrete part it repeats on the chain it is interned on. The map is made
+// on the first insert: a solver running on a prebuilt graph (a Batch
+// purpose solve) interns nothing.
 type storeShard struct {
 	mu sync.Mutex
-	m  map[uint64][]*node
+	m  map[uint64][]storeEntry
+}
+
+type storeEntry struct {
+	zoneHash uint64
+	n        *node
+}
+
+// find scans the chain of st's discrete hash. It returns the node interned
+// for st, or else nil and some interned state with st's discrete part (nil
+// when there is none). Called with sh.mu held.
+func (sh *storeShard) find(dh, zh uint64, st *symbolic.State) (*node, *symbolic.State) {
+	var same *symbolic.State
+	for _, e := range sh.m[dh] {
+		if e.zoneHash == zh && e.n.st.EqualTo(st) {
+			return e.n, nil
+		}
+		if same == nil && e.n.st.DiscreteEqual(st) {
+			same = e.n.st
+		}
+	}
+	return nil, same
 }
 
 // nodeStore interns symbolic states. States that differ only in their zone
-// share a shard (the shard index is the discrete hash), which keeps each
-// discrete location vector's zones on one lock.
+// share a shard and a chain (both are picked by the discrete hash), which
+// keeps each discrete location vector's zones on one lock.
 type nodeStore struct {
 	shards  [storeShardCount]storeShard
 	created atomic.Int64 // nodes interned so far (registered or not)
 }
 
-func newNodeStore() *nodeStore {
-	s := &nodeStore{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64][]*node)
-	}
-	return s
-}
-
 // lookupOrAdd interns st. New nodes are created with id -1 and must be
 // numbered by registerNode on the sequential side; the boolean reports
-// whether this call created the node. Safe for concurrent use.
+// whether this call created the node. A created node whose discrete part
+// is already interned takes over that node's Locs and Vars, so st's own
+// become garbage. Safe for concurrent use.
 func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
-	h := st.HashKey()
-	sh := &s.store.shards[st.DiscreteHash()&(storeShardCount-1)]
+	dh, zh := st.DiscreteHash(), st.Zone.Hash()
+	sh := &s.store.shards[dh&(storeShardCount-1)]
 	sh.mu.Lock()
-	for _, n := range sh.m[h] {
-		if n.st.EqualTo(st) {
-			sh.mu.Unlock()
-			return n, false, nil
-		}
-	}
+	n, _ := sh.find(dh, zh, st)
 	sh.mu.Unlock()
+	if n != nil {
+		return n, false, nil
+	}
 
 	// Reserve a slot up front so the MaxNodes budget is exact even under
 	// concurrent interning (check-then-increment would let racing workers
@@ -92,7 +109,7 @@ func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 			return nil, false, err
 		}
 	}
-	n := &node{
+	n = &node{
 		id:      -1,
 		st:      st,
 		zoneFed: zoneFed,
@@ -100,14 +117,19 @@ func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 		win:     dbm.NewFederation(st.Zone.Dim()),
 	}
 	sh.mu.Lock()
-	for _, o := range sh.m[h] {
-		if o.st.EqualTo(st) {
-			sh.mu.Unlock()
-			s.store.created.Add(-1) // lost the race; release the slot
-			return o, false, nil
-		}
+	o, same := sh.find(dh, zh, st)
+	if o != nil {
+		sh.mu.Unlock()
+		s.store.created.Add(-1) // lost the race; release the slot
+		return o, false, nil
 	}
-	sh.m[h] = append(sh.m[h], n)
+	if same != nil {
+		st.Locs, st.Vars = same.Locs, same.Vars
+	}
+	if sh.m == nil {
+		sh.m = make(map[uint64][]storeEntry)
+	}
+	sh.m[dh] = append(sh.m[dh], storeEntry{zoneHash: zh, n: n})
 	sh.mu.Unlock()
 	return n, true, nil
 }
@@ -124,7 +146,7 @@ func (s *solver) registerNode(n *node) {
 
 // workerSucc is one successor found by a worker, prior to wiring.
 type workerSucc struct {
-	trans symbolic.Transition
+	trans *symbolic.Transition
 	n     *node
 }
 

@@ -175,7 +175,7 @@ func ghostOverlay(core *skeleton, edgeID int, maxNodes int, cancel <-chan struct
 		for i := range o.succs {
 			sc := &o.succs[i]
 			layer := layerOf[id]
-			if layer == 0 && watched(&sc.trans) {
+			if layer == 0 && watched(sc.trans) {
 				layer = 1
 			}
 			tid := ids[sc.target][layer]

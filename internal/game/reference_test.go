@@ -95,7 +95,7 @@ func (st *Strategy) MoveAt(id int, val []int64, scale int64, bound int) (Move, e
 	for pass := 0; pass < 2; pass++ {
 		for i := range n.succs {
 			sc := &n.succs[i]
-			if !st.moveUsable(&sc.trans) {
+			if !st.moveUsable(sc.trans) {
 				continue
 			}
 			ctrl := sc.trans.Kind == model.Controllable
@@ -105,12 +105,12 @@ func (st *Strategy) MoveAt(id int, val []int64, scale int64, bound int) (Move, e
 			region := regionFor(i)
 			if region.ContainsPoint(val, scale) {
 				if ctrl {
-					return Move{Kind: MoveAction, Trans: &sc.trans, Target: sc.target}, nil
+					return Move{Kind: MoveAction, Trans: sc.trans, Target: sc.target}, nil
 				}
 				// Cooperative: hope the plant produces this output; wait
 				// for it until the end of its enabled window.
 				wait := maxUsefulWait(region, val, scale)
-				return Move{Kind: MoveWait, WaitTicks: wait, Hoped: &sc.trans}, nil
+				return Move{Kind: MoveWait, WaitTicks: wait, Hoped: sc.trans}, nil
 			}
 		}
 	}
@@ -151,12 +151,12 @@ func (st *Strategy) MoveAt(id int, val []int64, scale int64, bound int) (Move, e
 	consider(forced, nil)
 	for i := range n.succs {
 		sc := &n.succs[i]
-		if !st.moveUsable(&sc.trans) {
+		if !st.moveUsable(sc.trans) {
 			continue
 		}
 		var h *symbolic.Transition
 		if sc.trans.Kind != model.Controllable {
-			h = &sc.trans
+			h = sc.trans
 		}
 		consider(regionFor(i), h)
 	}
@@ -200,8 +200,8 @@ func (st *Strategy) FollowTransition(id int, chanIdx int, val []int64, scale int
 		if sc.trans.Chan != chanIdx {
 			continue
 		}
-		if st.guardHolds(&sc.trans, val, scale) {
-			return &sc.trans, sc.target, nil
+		if st.guardHolds(sc.trans, val, scale) {
+			return sc.trans, sc.target, nil
 		}
 	}
 	name := "?"

@@ -54,10 +54,10 @@ func (sim *simulator) enabledUncontrollable(delta int64) []*succRef {
 		if sc.trans.Kind != model.Uncontrollable {
 			continue
 		}
-		if !sim.strat.guardHolds(&sc.trans, at, tick) {
+		if !sim.strat.guardHolds(sc.trans, at, tick) {
 			continue
 		}
-		if !dataGuardsHold(sim.strat.sys, &sc.trans, n.st.Vars) {
+		if !dataGuardsHold(sim.strat.sys, sc.trans, n.st.Vars) {
 			continue
 		}
 		// The move must respect the location invariant (zone membership).
@@ -82,7 +82,7 @@ func dataGuardsHold(sys *model.System, t *symbolic.Transition, vars []int32) boo
 
 // takeTransition moves the play along sc at the current valuation.
 func (sim *simulator) takeTransition(sc *succRef, who string) bool {
-	sim.val = ApplyResets(&sc.trans, sim.val, tick)
+	sim.val = ApplyResets(sc.trans, sim.val, tick)
 	sim.node = sc.target
 	newBound := sim.strat.StampAt(sim.node, sim.val, tick)
 	sim.logf("%s takes %s -> node %d (stamp %d)", who, sc.trans.Label, sim.node, newBound)
@@ -131,7 +131,7 @@ func (sim *simulator) run(maxSteps int) bool {
 			var target *succRef
 			n := sim.strat.nodes[sim.node]
 			for i := range n.succs {
-				if &n.succs[i].trans == mv.Trans {
+				if n.succs[i].trans == mv.Trans {
 					target = &n.succs[i]
 					break
 				}

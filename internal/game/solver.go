@@ -243,7 +243,7 @@ func (n *node) addPred(id int) {
 }
 
 type succRef struct {
-	trans  symbolic.Transition
+	trans  *symbolic.Transition
 	target int
 }
 
@@ -308,7 +308,7 @@ func newSolverShell(sys *model.System, formula *tctl.Formula, opts Options) *sol
 		sys:     sys,
 		formula: formula,
 		opts:    opts,
-		store:   newNodeStore(),
+		store:   &nodeStore{},
 		workers: opts.Workers,
 		t0:      time.Now(),
 		safety:  formula.Objective == tctl.Safety,
@@ -508,22 +508,22 @@ func (s *solver) reevalCore(n *node, st *Stats) *dbm.Federation {
 	for i := range n.succs {
 		sc := &n.succs[i]
 		t := s.nodes[sc.target]
-		if s.controllableInGame(&sc.trans) {
+		if s.controllableInGame(sc.trans) {
 			if !t.win.IsEmpty() {
-				p := s.ex.PredThroughEdge(n.st, &sc.trans, t.win)
+				p := s.ex.PredThroughEdge(n.st, sc.trans, t.win)
 				good.Union(p)
 				p.Recycle()
 			}
 		} else if t.win.IsEmpty() {
 			// Nothing won at the target yet: the whole zone is losing, and
 			// PredThroughEdge only reads its target, so no clone is needed.
-			p := s.ex.PredThroughEdge(n.st, &sc.trans, t.zoneFed)
+			p := s.ex.PredThroughEdge(n.st, sc.trans, t.zoneFed)
 			bad.Union(p)
 			p.Recycle()
 		} else {
 			loseFed := t.zoneFed.Subtract(t.win)
 			if !loseFed.IsEmpty() {
-				p := s.ex.PredThroughEdge(n.st, &sc.trans, loseFed)
+				p := s.ex.PredThroughEdge(n.st, sc.trans, loseFed)
 				bad.Union(p)
 				p.Recycle()
 			}
@@ -600,7 +600,7 @@ func (s *solver) forcedGood(n *node) *dbm.Federation {
 	anyForced := false
 	for i := range n.succs {
 		sc := &n.succs[i]
-		if !s.controllableInGame(&sc.trans) && !s.nodes[sc.target].win.IsEmpty() {
+		if !s.controllableInGame(sc.trans) && !s.nodes[sc.target].win.IsEmpty() {
 			anyForced = true
 			break
 		}
@@ -630,7 +630,7 @@ func (s *solver) forcedGood(n *node) *dbm.Federation {
 	someEscape := dbm.NewFederation(dim)
 	for i := range n.succs {
 		sc := &n.succs[i]
-		if s.controllableInGame(&sc.trans) {
+		if s.controllableInGame(sc.trans) {
 			continue
 		}
 		t := s.nodes[sc.target]
@@ -645,7 +645,7 @@ func (s *solver) forcedGood(n *node) *dbm.Federation {
 			continue
 		}
 		enabledFed := dbm.FedFromDBM(dim, enabled)
-		p := s.ex.PredThroughEdge(n.st, &sc.trans, t.win)
+		p := s.ex.PredThroughEdge(n.st, sc.trans, t.win)
 		esc := enabledFed.Subtract(p)
 		enabledFed.Recycle() // its zone may be the node's own; wrapper only
 		someWin.Union(p)

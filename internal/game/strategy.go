@@ -59,7 +59,10 @@ func (k MoveKind) String() string {
 	}
 }
 
-// Move is one strategy decision.
+// Move is one strategy decision. Trans and Hoped point at the transitions
+// the zone graph shares (the explorer's interned ones, or those decoded
+// with a compiled strategy): read-only, and equal exactly when they are the
+// same pointer.
 type Move struct {
 	Kind      MoveKind
 	Trans     *symbolic.Transition // MoveAction: transition to take now
@@ -136,7 +139,7 @@ func (st *Strategy) actionRegion(n *node, sc *succRef, bound int) *dbm.Federatio
 	if w.IsEmpty() {
 		return w
 	}
-	p := st.ex.PredThroughEdge(n.st, &sc.trans, w)
+	p := st.ex.PredThroughEdge(n.st, sc.trans, w)
 	// The winBefore wrapper shares its zones with the target's deltas:
 	// recycle the wrapper only (Release would corrupt the strategy graph).
 	w.Recycle()
@@ -198,7 +201,7 @@ func (st *Strategy) forcedRegion(n *node, bound int) *dbm.Federation {
 		if enabled == nil {
 			continue
 		}
-		p := st.ex.PredThroughEdge(n.st, &sc.trans, winBefore(target, bound))
+		p := st.ex.PredThroughEdge(n.st, sc.trans, winBefore(target, bound))
 		someWin.Union(p)
 		someEscape.Union(dbm.FedFromDBM(dim, enabled).Subtract(p))
 	}
@@ -269,12 +272,12 @@ func (st *Strategy) SafeActions(id int, val []int64, scale int64) []*symbolic.Tr
 		if sc.trans.Kind != model.Controllable {
 			continue
 		}
-		if !transGuardHolds(&sc.trans, val, scale) {
+		if !transGuardHolds(sc.trans, val, scale) {
 			continue
 		}
-		after := ApplyResets(&sc.trans, val, scale)
+		after := ApplyResets(sc.trans, val, scale)
 		if st.SafeAt(sc.target, after, scale) {
-			out = append(out, &sc.trans)
+			out = append(out, sc.trans)
 		}
 	}
 	return out
@@ -343,7 +346,7 @@ func (st *Strategy) Print(w io.Writer) {
 		covered := n.goal.Clone()
 		for i := range n.succs {
 			sc := &n.succs[i]
-			if !st.moveUsable(&sc.trans) {
+			if !st.moveUsable(sc.trans) {
 				continue
 			}
 			region := st.actionRegion(n, sc, 0)
@@ -407,7 +410,7 @@ func (st *Strategy) MarshalJSON() ([]byte, error) {
 		}
 		for i := range n.succs {
 			sc := &n.succs[i]
-			if !st.moveUsable(&sc.trans) {
+			if !st.moveUsable(sc.trans) {
 				continue
 			}
 			region := st.actionRegion(n, sc, 0).Subtract(n.goal)

@@ -134,7 +134,7 @@ func TestApplyResets(t *testing.T) {
 		Resets: []model.ClockReset{{Clock: x, Value: 0}, {Clock: y, Value: 2}}})
 	res := solveStr(t, s, "control: A<> P.Goal", Options{})
 	n := res.Strategy.nodes[0]
-	out := ApplyResets(&n.succs[0].trans, []int64{5 * tick, 7 * tick}, tick)
+	out := ApplyResets(n.succs[0].trans, []int64{5 * tick, 7 * tick}, tick)
 	if out[0] != 0 || out[1] != 2*tick {
 		t.Fatalf("resets wrong: %v", out)
 	}

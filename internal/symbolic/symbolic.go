@@ -9,14 +9,24 @@
 // internal edge or a synchronized emitter/receiver pair) and Explorer
 // (Initial, AppendSuccessors, and the game fixpoint's PredThroughEdge).
 //
-// Concurrency contract: an Explorer is immutable after construction and
-// safe for concurrent use by any number of solver workers; interned States
-// are read-only. AppendSuccessors writes only into the caller's buffer, so
-// per-worker buffers make exploration embarrassingly parallel.
+// An Explorer interns its transitions: it owns one immutable *Transition
+// per internal edge and per (emitter edge, receiver edge) pair, built on
+// its first Candidates call, and every successor it fires carries that
+// shared pointer. A zone graph therefore stores a successor as a pointer
+// and a target, and two transitions of one explorer are the same
+// transition exactly when their pointers are equal.
+//
+// Concurrency contract: an Explorer is safe for concurrent use by any
+// number of solver workers (the transition table is built once, under a
+// sync.Once); interned States and Transitions are read-only.
+// AppendSuccessors writes only into the caller's buffer, so per-worker
+// buffers make exploration embarrassingly parallel.
 package symbolic
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"tigatest/internal/dbm"
 	"tigatest/internal/expr"
@@ -80,20 +90,12 @@ func (s *State) WithOverlayVar(v int32, dst *State, vars []int32) *State {
 
 // EqualTo reports full symbolic-state equality (discrete part and zone).
 func (s *State) EqualTo(o *State) bool {
-	if len(s.Locs) != len(o.Locs) || len(s.Vars) != len(o.Vars) {
-		return false
-	}
-	for i := range s.Locs {
-		if s.Locs[i] != o.Locs[i] {
-			return false
-		}
-	}
-	for i := range s.Vars {
-		if s.Vars[i] != o.Vars[i] {
-			return false
-		}
-	}
-	return s.Zone.Equals(o.Zone)
+	return s.DiscreteEqual(o) && s.Zone.Equals(o.Zone)
+}
+
+// DiscreteEqual reports whether s and o have equal locations and variables.
+func (s *State) DiscreteEqual(o *State) bool {
+	return slices.Equal(s.Locs, o.Locs) && slices.Equal(s.Vars, o.Vars)
 }
 
 // String renders the state for diagnostics.
@@ -102,7 +104,8 @@ func (s *State) String() string {
 }
 
 // Transition is one discrete step of the network: either a single internal
-// edge or a synchronized emitter/receiver pair.
+// edge or a synchronized emitter/receiver pair. The explorer hands out one
+// shared *Transition per step, so a Transition must never be modified.
 type Transition struct {
 	Kind  model.Kind
 	Chan  int // channel index, or -1 for internal moves
@@ -110,15 +113,16 @@ type Transition struct {
 	Label string
 }
 
-// Succ is a successor state reached by a transition.
+// Succ is a successor state reached by a transition; Trans is the
+// explorer's shared transition.
 type Succ struct {
-	Trans Transition
+	Trans *Transition
 	State *State
 }
 
-// Explorer computes initial states and successors for a system. An
-// Explorer is immutable after construction and safe for concurrent use by
-// multiple solver workers.
+// Explorer computes initial states and successors for a system. Its
+// exported fields are set before first use; after that an Explorer is safe
+// for concurrent use by multiple solver workers.
 type Explorer struct {
 	Sys *model.System
 	// Max holds per-clock extrapolation constants (from the system plus the
@@ -126,27 +130,89 @@ type Explorer struct {
 	// graph may then be infinite).
 	Max []int
 
-	// tauLabels caches the display label of every internal edge, indexed
-	// by process and edge, so firing a transition allocates no strings.
-	tauLabels [][]string
+	// The transition table, built by the first Candidates call: explorers
+	// that only compute predecessors (the per-purpose solvers of a batch)
+	// never pay for it. Edges are numbered flat, process by process, from
+	// edgeBase[pi].
+	tableOnce sync.Once
+	edgeBase  []int
+	tau       []*Transition   // flat edge -> its internal transition (nil for synchronized edges)
+	recvSlot  []int           // flat receiver edge -> its index among its channel's receivers
+	pairs     [][]*Transition // flat emitter edge -> the pair with each receiver of its channel (nil within one process)
 }
 
 // NewExplorer builds an explorer with extrapolation constants covering the
 // system and the given extra constraints (e.g. the formula's clock atoms).
 func NewExplorer(sys *model.System, extra []model.ClockConstraint) *Explorer {
-	ex := &Explorer{Sys: sys, Max: sys.MaxConstants(extra)}
-	ex.tauLabels = make([][]string, len(sys.Procs))
-	for pi := range sys.Procs {
-		p := sys.Procs[pi]
-		ex.tauLabels[pi] = make([]string, len(p.Edges))
+	return &Explorer{Sys: sys, Max: sys.MaxConstants(extra)}
+}
+
+// buildTable interns every transition of the system: one per internal edge
+// and one per (emitter, receiver) pair of edges in distinct processes on a
+// shared channel. Transitions and their edge lists come from one backing
+// array each.
+func (ex *Explorer) buildTable() {
+	sys := ex.Sys
+	ex.edgeBase = make([]int, len(sys.Procs)+1)
+	for pi, p := range sys.Procs {
+		ex.edgeBase[pi+1] = ex.edgeBase[pi] + len(p.Edges)
+	}
+	flat := ex.edgeBase[len(sys.Procs)]
+	ex.recvSlot = make([]int, flat)
+	recvs := make([][]*model.Edge, len(sys.Channels))
+	emits := make([]int, len(sys.Channels))
+	ntau := 0
+	for pi, p := range sys.Procs {
 		for ei := range p.Edges {
-			e := &p.Edges[ei]
-			if e.Dir == model.NoSync {
-				ex.tauLabels[pi][ei] = fmt.Sprintf("tau(%s)", sys.EdgeLabel(e))
+			switch e := &p.Edges[ei]; e.Dir {
+			case model.NoSync:
+				ntau++
+			case model.Emit:
+				emits[e.Chan]++
+			case model.Receive:
+				ex.recvSlot[ex.edgeBase[pi]+ei] = len(recvs[e.Chan])
+				recvs[e.Chan] = append(recvs[e.Chan], e)
 			}
 		}
 	}
-	return ex
+	nslot := 0
+	for c := range recvs {
+		nslot += emits[c] * len(recvs[c])
+	}
+
+	// Room for a pair in every slot; slots within one process stay nil.
+	trans := make([]Transition, 0, ntau+nslot)
+	edges := make([]*model.Edge, 0, ntau+2*nslot)
+	slots := make([]*Transition, nslot)
+	intern := func(t Transition, es ...*model.Edge) *Transition {
+		k := len(edges)
+		edges = append(edges, es...)
+		t.Edges = edges[k:len(edges):len(edges)]
+		trans = append(trans, t)
+		return &trans[len(trans)-1]
+	}
+	ex.tau = make([]*Transition, flat)
+	ex.pairs = make([][]*Transition, flat)
+	for pi, p := range sys.Procs {
+		for ei := range p.Edges {
+			e := &p.Edges[ei]
+			i := ex.edgeBase[pi] + ei
+			switch e.Dir {
+			case model.NoSync:
+				ex.tau[i] = intern(Transition{Kind: e.Kind, Chan: -1, Label: fmt.Sprintf("tau(%s)", sys.EdgeLabel(e))}, e)
+			case model.Emit:
+				ch := &sys.Channels[e.Chan]
+				row := slots[:len(recvs[e.Chan]):len(recvs[e.Chan])]
+				slots = slots[len(row):]
+				for j, f := range recvs[e.Chan] {
+					if f.Proc != pi {
+						row[j] = intern(Transition{Kind: ch.Kind, Chan: e.Chan, Label: ch.Name}, e, f)
+					}
+				}
+				ex.pairs[i] = row
+			}
+		}
+	}
 }
 
 // Initial returns the initial symbolic state: all processes in their
@@ -209,14 +275,16 @@ func (ex *Explorer) Successors(s *State) ([]Succ, error) {
 // buffer instead of allocating per state.
 func (ex *Explorer) AppendSuccessors(dst []Succ, s *State) ([]Succ, error) {
 	out := dst
-	var ctx fireCtx // one context pair serves every candidate
-	err := ex.Candidates(s, func(t Transition) error {
-		succ, ok, err := ex.fire(s, t, &ctx)
+	ctx := fireCtxs.Get().(*fireCtx) // one context pair serves every candidate
+	err := ex.Candidates(s, func(t *Transition) error {
+		succ, ok, err := ex.fire(s, t, ctx)
 		if ok {
 			out = append(out, succ)
 		}
 		return err
 	})
+	*ctx = fireCtx{}
+	fireCtxs.Put(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -226,35 +294,28 @@ func (ex *Explorer) AppendSuccessors(dst []Succ, s *State) ([]Succ, error) {
 // Candidates invokes fn for every discrete-transition candidate of s —
 // internal edges, then synchronized emitter/receiver pairs — in exactly
 // the order AppendSuccessors fires them, with the committed-location
-// filter applied but the guards not yet evaluated. The Transition's Edges
-// slice is scratch reused across calls: fn must Fire the candidate (Fire
-// unshares it on success) or copy whatever it keeps. The incremental
-// delta replay (package game) walks candidates to decide, per transition,
-// whether the base graph's successor can be reused or the mutant must
-// fire it.
-func (ex *Explorer) Candidates(s *State, fn func(t Transition) error) error {
+// filter applied but the guards not yet evaluated. Each candidate is the
+// explorer's shared, immutable transition, so fn may keep it. The first
+// call builds the transition table. The incremental delta replay (package
+// game) walks candidates to decide, per transition, whether the base
+// graph's successor can be reused or the mutant must fire it.
+func (ex *Explorer) Candidates(s *State, fn func(t *Transition) error) error {
+	ex.tableOnce.Do(ex.buildTable)
 	sys := ex.Sys
 	committed := sys.IsCommitted(s.Locs)
-	// One scratch edge list serves every candidate; fire copies it only
-	// for enabled transitions, so disabled attempts allocate nothing.
-	scratch := make([]*model.Edge, 0, 2)
 
 	// Internal edges.
 	for pi, p := range sys.Procs {
+		tau := ex.tau[ex.edgeBase[pi]:ex.edgeBase[pi+1]]
 		for _, ei := range p.OutEdges(s.Locs[pi]) {
-			e := &p.Edges[ei]
-			if e.Dir != model.NoSync {
+			t := tau[ei]
+			if t == nil {
+				continue // synchronized edge
+			}
+			if committed && !p.Locations[p.Edges[ei].Src].Committed {
 				continue
 			}
-			if committed && !p.Locations[e.Src].Committed {
-				continue
-			}
-			if err := fn(Transition{
-				Kind:  e.Kind,
-				Chan:  -1,
-				Edges: append(scratch[:0], e),
-				Label: ex.tauLabels[pi][ei],
-			}); err != nil {
+			if err := fn(t); err != nil {
 				return err
 			}
 		}
@@ -267,6 +328,7 @@ func (ex *Explorer) Candidates(s *State, fn func(t Transition) error) error {
 			if e.Dir != model.Emit {
 				continue
 			}
+			pairs := ex.pairs[ex.edgeBase[pi]+ei]
 			for qi, q := range sys.Procs {
 				if qi == pi {
 					continue
@@ -279,12 +341,7 @@ func (ex *Explorer) Candidates(s *State, fn func(t Transition) error) error {
 					if committed && !p.Locations[e.Src].Committed && !q.Locations[f.Src].Committed {
 						continue
 					}
-					if err := fn(Transition{
-						Kind:  sys.Channels[e.Chan].Kind,
-						Chan:  e.Chan,
-						Edges: append(scratch[:0], e, f),
-						Label: sys.Channels[e.Chan].Name,
-					}); err != nil {
+					if err := fn(pairs[ex.recvSlot[ex.edgeBase[qi]+fi]]); err != nil {
 						return err
 					}
 				}
@@ -295,9 +352,8 @@ func (ex *Explorer) Candidates(s *State, fn func(t Transition) error) error {
 }
 
 // Fire attempts candidate t from s; a nil Succ means the transition is
-// disabled. On success the returned transition owns a fresh Edges slice,
-// so the caller's candidate scratch is safe to reuse.
-func (ex *Explorer) Fire(s *State, t Transition) (*Succ, error) {
+// disabled. The successor carries t itself.
+func (ex *Explorer) Fire(s *State, t *Transition) (*Succ, error) {
 	succ, ok, err := ex.fire(s, t, &fireCtx{})
 	if !ok {
 		return nil, err
@@ -310,9 +366,14 @@ func (ex *Explorer) Fire(s *State, t Transition) (*Succ, error) {
 // candidates of a state keeps disabled candidates allocation-free.
 type fireCtx struct{ guard, update expr.Ctx }
 
+// fireCtxs recycles the contexts of AppendSuccessors. Expressions evaluate
+// through an interface, so a context always escapes to the heap; without
+// the pool every explored state would allocate one.
+var fireCtxs = sync.Pool{New: func() any { return new(fireCtx) }}
+
 // fire attempts to take the transition from s; ok is false when it is
 // disabled (or on error).
-func (ex *Explorer) fire(s *State, t Transition, ctx *fireCtx) (Succ, bool, error) {
+func (ex *Explorer) fire(s *State, t *Transition, ctx *fireCtx) (Succ, bool, error) {
 	sys := ex.Sys
 
 	// Data guards (conjunction over participating edges).
@@ -376,9 +437,6 @@ func (ex *Explorer) fire(s *State, t Transition, ctx *fireCtx) (Succ, bool, erro
 	if ex.Max != nil {
 		z.ExtrapolateInPlace(ex.Max)
 	}
-	// The transition is enabled and will be retained: unshare the caller's
-	// scratch edge list.
-	t.Edges = append([]*model.Edge(nil), t.Edges...)
 	return Succ{Trans: t, State: &State{Locs: locs, Vars: vars, Zone: z}}, true, nil
 }
 

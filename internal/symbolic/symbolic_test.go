@@ -181,7 +181,7 @@ func TestPredThroughEdgeInvertsFire(t *testing.T) {
 	succs, _ := ex.Successors(init)
 	sc := succs[0]
 	target := dbm.FedFromDBM(s.NumClocks(), sc.State.Zone.Clone())
-	pred := ex.PredThroughEdge(init, &sc.Trans, target)
+	pred := ex.PredThroughEdge(init, sc.Trans, target)
 	// The press edge has no guard: every point of the source zone must be
 	// in the predecessor.
 	if !dbm.FedFromDBM(s.NumClocks(), init.Zone.Clone()).Subtract(pred).IsEmpty() {
@@ -189,7 +189,7 @@ func TestPredThroughEdgeInvertsFire(t *testing.T) {
 	}
 	// Restrict the target to x=4 (not the reset point x=0): pred is empty.
 	pt := dbm.New(s.NumClocks()).Constrain(1, 0, dbm.LE(4)).Constrain(0, 1, dbm.LE(-4))
-	pred = ex.PredThroughEdge(init, &sc.Trans, dbm.FedFromDBM(s.NumClocks(), pt))
+	pred = ex.PredThroughEdge(init, sc.Trans, dbm.FedFromDBM(s.NumClocks(), pt))
 	if !pred.IsEmpty() {
 		t.Fatalf("after the reset the landing point is x=0; x=4 targets are unreachable: %v", pred)
 	}
