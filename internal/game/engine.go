@@ -19,6 +19,7 @@
 package game
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,11 +73,20 @@ type nodeStore struct {
 	created atomic.Int64 // nodes interned so far (registered or not)
 }
 
+// storedNode is a created node and its symbolic state, allocated as one
+// object.
+type storedNode struct {
+	n  node
+	st symbolic.State
+}
+
 // lookupOrAdd interns st. New nodes are created with id -1 and must be
 // numbered by registerNode on the sequential side; the boolean reports
-// whether this call created the node. A created node whose discrete part
-// is already interned takes over that node's Locs and Vars, so st's own
-// become garbage. Safe for concurrent use.
+// whether this call created the node. The store keeps a copy of st, not st
+// itself, so st may live in a worker's symbolic.Scratch: a created node
+// keeps st's zone and takes over the Locs and Vars of an interned node
+// with its discrete part, copying st's own only for a discrete part not
+// interned yet. Safe for concurrent use.
 func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 	dh, zh := st.DiscreteHash(), st.Zone.Hash()
 	sh := &s.store.shards[dh&(storeShardCount-1)]
@@ -109,13 +119,15 @@ func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 			return nil, false, err
 		}
 	}
-	n = &node{
+	sn := &storedNode{st: symbolic.State{Zone: st.Zone}}
+	sn.n = node{
 		id:      -1,
-		st:      st,
+		st:      &sn.st,
 		zoneFed: zoneFed,
 		goal:    goal,
 		win:     dbm.NewFederation(st.Zone.Dim()),
 	}
+	n = &sn.n
 	sh.mu.Lock()
 	o, same := sh.find(dh, zh, st)
 	if o != nil {
@@ -124,7 +136,9 @@ func (s *solver) lookupOrAdd(st *symbolic.State) (*node, bool, error) {
 		return o, false, nil
 	}
 	if same != nil {
-		st.Locs, st.Vars = same.Locs, same.Vars
+		sn.st.Locs, sn.st.Vars = same.Locs, same.Vars
+	} else {
+		sn.st.Locs, sn.st.Vars = slices.Clone(st.Locs), slices.Clone(st.Vars)
 	}
 	if sh.m == nil {
 		sh.m = make(map[uint64][]storeEntry)
@@ -173,7 +187,10 @@ func (s *solver) exploreBatch(frontier []int) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var buf []symbolic.Succ
+			var (
+				buf []symbolic.Succ
+				sc  symbolic.Scratch
+			)
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(frontier) {
@@ -186,7 +203,7 @@ func (s *solver) exploreBatch(frontier []int) error {
 					tasks[i] = exploreTask{err: err}
 					continue
 				}
-				buf, tasks[i] = s.exploreOne(frontier[i], buf[:0], nil, &wstats[w])
+				buf, tasks[i] = s.exploreOne(frontier[i], buf[:0], &sc, nil, &wstats[w])
 			}
 		}(w)
 	}
@@ -211,22 +228,26 @@ func (s *solver) exploreBatch(frontier []int) error {
 func (s *solver) wire(id int, succs []workerSucc) {
 	n := s.nodes[id]
 	n.explored = true
-	for _, ws := range succs {
+	if len(succs) > 0 {
+		n.succs = make([]succRef, len(succs))
+	}
+	for i, ws := range succs {
 		if ws.n.id < 0 {
 			s.registerNode(ws.n)
 		}
-		n.succs = append(n.succs, succRef{trans: ws.trans, target: ws.n.id})
+		n.succs[i] = succRef{trans: ws.trans, target: ws.n.id}
 		ws.n.addPred(id)
 	}
 	s.scheduleReeval(id)
 }
 
 // exploreOne computes and interns the successors of one node, appending
-// them to into (a fresh slice when into is nil). Worker side: it must not
-// touch s.nodes, node ids, or any sequential-side state.
-func (s *solver) exploreOne(id int, buf []symbolic.Succ, into []workerSucc, wst *Stats) ([]symbolic.Succ, exploreTask) {
+// them to into (a fresh slice when into is nil). The successors are built
+// in sc, which the worker reuses from call to call. Worker side: it must
+// not touch s.nodes, node ids, or any sequential-side state.
+func (s *solver) exploreOne(id int, buf []symbolic.Succ, sc *symbolic.Scratch, into []workerSucc, wst *Stats) ([]symbolic.Succ, exploreTask) {
 	n := s.nodes[id]
-	succs, err := s.ex.AppendSuccessors(buf, n.st)
+	succs, err := s.ex.AppendSuccessors(buf, n.st, sc)
 	if err != nil {
 		return succs, exploreTask{err: err}
 	}
@@ -286,6 +307,7 @@ func (s *solver) exploreAll() error {
 	rounds := s.workers > 1
 	var (
 		buf []symbolic.Succ
+		sc  symbolic.Scratch
 		out []workerSucc
 	)
 	return drainQueue(&s.exploreQ, rounds, func(ids []int) error {
@@ -296,7 +318,7 @@ func (s *solver) exploreAll() error {
 			return s.exploreBatch(ids)
 		}
 		var t exploreTask
-		buf, t = s.exploreOne(ids[0], buf[:0], out[:0], &s.stats)
+		buf, t = s.exploreOne(ids[0], buf[:0], &sc, out[:0], &s.stats)
 		if t.err != nil {
 			return t.err
 		}

@@ -8,9 +8,9 @@
 // components are solved concurrently by a worker pool, and within a
 // component the fixpoint iterates a sequential local work queue to
 // convergence. Win-set growth that crosses a component boundary is posted
-// to the target component's mailbox — one small mutex per component, only
-// ever contended by concurrent downstream solvers — and drained when that
-// component starts.
+// to the target component's mailbox — one small mutex per involved
+// component, only ever contended by concurrent downstream solvers — and
+// drained when that component starts.
 //
 // Safety of the concurrency: a component's nodes are read and written by
 // exactly one worker at a time, successor components are final before a
@@ -50,10 +50,16 @@ type propagator struct {
 	s    *solver
 	cond *condensation
 
-	involved []bool    // component can be affected by this pass's seeds
-	depCount []int32   // remaining unsolved involved successor components (atomic)
-	seedsOf  [][]int32 // per-component seed node ids
+	// slot numbers the involved components (those this pass's seeds can
+	// affect) 0, 1, ...; it is -1 for every other component. boxes has one
+	// mailbox per slot.
+	slot     []int32
 	boxes    []mailbox
+	depCount []int32 // remaining unsolved involved successor components (atomic)
+	// The seeds bucketed by component, stably: component c's seed node ids
+	// are seeds[seedAt[c]:seedAt[c+1]], in the order the pass received them.
+	seeds  []int32
+	seedAt []int32
 
 	ready     chan int32   // components whose dependencies have converged
 	remaining atomic.Int32 // involved components not yet finished
@@ -86,54 +92,55 @@ func (s *solver) propagate(seeds []int, checkEarly bool) error {
 	}
 	defer func(t0 time.Time) { s.stats.PropagateDuration += time.Since(t0) }(time.Now())
 	cond := s.condense()
+	nc := cond.numComps()
 	p := &propagator{
 		s:          s,
 		cond:       cond,
-		involved:   make([]bool, len(cond.comps)),
-		depCount:   make([]int32, len(cond.comps)),
-		seedsOf:    make([][]int32, len(cond.comps)),
-		boxes:      make([]mailbox, len(cond.comps)),
+		slot:       make([]int32, nc),
+		depCount:   make([]int32, nc),
 		checkEarly: checkEarly,
 	}
 	p.stampCtr.Store(int64(s.stamp))
-	s.stats.SCCs = len(cond.comps)
+	s.stats.SCCs = nc
 	s.stats.PropagationRounds++
-
-	for _, id := range seeds {
-		c := cond.compOf[id]
-		p.seedsOf[c] = append(p.seedsOf[c], int32(id))
-	}
+	p.bucketSeeds(seeds)
 
 	// Only components upstream of a seed (via cross-component predecessor
 	// edges) can change; everything else is already at the fixpoint.
-	bfs := make([]int32, 0, len(cond.comps))
-	for c := range cond.comps {
-		if len(p.seedsOf[c]) > 0 {
-			p.involved[c] = true
-			bfs = append(bfs, int32(c))
+	for c := range p.slot {
+		p.slot[c] = -1
+	}
+	bfs := make([]int32, 0, nc)
+	total := int32(0)
+	involve := func(c int32) {
+		p.slot[c] = total
+		total++
+		bfs = append(bfs, c)
+	}
+	for c := 0; c < nc; c++ {
+		if p.seedAt[c] < p.seedAt[c+1] {
+			involve(int32(c))
 		}
 	}
 	for len(bfs) > 0 {
 		c := bfs[len(bfs)-1]
 		bfs = bfs[:len(bfs)-1]
-		for _, pr := range cond.preds[c] {
-			if !p.involved[pr] {
-				p.involved[pr] = true
-				bfs = append(bfs, pr)
+		for _, pr := range cond.preds(int(c)) {
+			if p.slot[pr] < 0 {
+				involve(pr)
 			}
 		}
 	}
+	p.boxes = make([]mailbox, total)
 
 	// A component waits for its involved successors only; the rest are
 	// final already.
-	total := int32(0)
-	for c := range cond.comps {
-		if !p.involved[c] {
+	for c := 0; c < nc; c++ {
+		if p.slot[c] < 0 {
 			continue
 		}
-		total++
-		for _, d := range cond.succs[c] {
-			if p.involved[d] {
+		for _, d := range cond.succs(c) {
+			if p.slot[d] >= 0 {
 				p.depCount[c]++
 			}
 		}
@@ -142,8 +149,8 @@ func (s *solver) propagate(seeds []int, checkEarly bool) error {
 	// Every involved component is sent exactly once, so the channel never
 	// blocks a sender and is closed strictly after the last send.
 	p.ready = make(chan int32, total)
-	for c := range cond.comps {
-		if p.involved[c] && p.depCount[c] == 0 {
+	for c := 0; c < nc; c++ {
+		if p.slot[c] >= 0 && p.depCount[c] == 0 {
 			p.ready <- int32(c)
 		}
 	}
@@ -181,13 +188,35 @@ func (s *solver) propagate(seeds []int, checkEarly bool) error {
 	return p.err
 }
 
+// bucketSeeds sorts the seed node ids by component with a stable counting
+// sort, so every component's seeds keep the order they came in.
+func (p *propagator) bucketSeeds(seeds []int) {
+	compOf, nc := p.cond.compOf, p.cond.numComps()
+	// Count, sum to every bucket's end, then fill back to front: each
+	// bucket's cursor ends at its start.
+	p.seedAt = make([]int32, nc+1)
+	for _, id := range seeds {
+		p.seedAt[compOf[id]]++
+	}
+	for c := 1; c < nc; c++ {
+		p.seedAt[c] += p.seedAt[c-1]
+	}
+	p.seedAt[nc] = int32(len(seeds))
+	p.seeds = make([]int32, len(seeds))
+	for i := len(seeds) - 1; i >= 0; i-- {
+		c := compOf[seeds[i]]
+		p.seedAt[c]--
+		p.seeds[p.seedAt[c]] = int32(seeds[i])
+	}
+}
+
 // finish marks a component converged: predecessors waiting on it may become
 // ready, and the pass ends when the last involved component finishes. On a
 // stopped pass components still flow through here (skipping their work) so
 // the channel drains and closes cleanly.
 func (p *propagator) finish(cid int32) {
-	for _, pr := range p.cond.preds[cid] {
-		if !p.involved[pr] {
+	for _, pr := range p.cond.preds(int(cid)) {
+		if p.slot[pr] < 0 {
 			continue
 		}
 		if atomic.AddInt32(&p.depCount[pr], -1) == 0 {
@@ -250,8 +279,8 @@ func (w *propWorker) budgetTick() error {
 func (w *propWorker) solveComp(cid int32) error {
 	p, s := w.p, w.p.s
 	q := w.q[:0]
-	q = append(q, p.seedsOf[cid]...)
-	box := &p.boxes[cid]
+	q = append(q, p.seeds[p.seedAt[cid]:p.seedAt[cid+1]]...)
+	box := &p.boxes[p.slot[cid]]
 	box.mu.Lock()
 	inbox := box.ids
 	box.mu.Unlock()
@@ -289,7 +318,7 @@ func (w *propWorker) solveComp(cid int32) error {
 				}
 			} else {
 				w.st.CrossSCCMessages++
-				p.boxes[d].push(int32(pr))
+				p.boxes[p.slot[d]].push(int32(pr))
 			}
 		}
 		// Only this worker may touch node 0's winning set while its

@@ -9,7 +9,12 @@
 // be solved concurrently; see propagate.go for the scheduler.
 //
 // Every propagation pass condenses the explored graph from scratch, so
-// component ids always follow Tarjan's reverse topological order.
+// component ids always follow Tarjan's reverse topological order. A pass
+// meets one component per node on a graph without cycles, so the
+// condensation is flat: members grouped by component behind one offset
+// array, and both cross-component edge directions in one arena behind two
+// prefix sums. Condensing costs a fixed number of allocations, however
+// many components the graph has.
 
 package game
 
@@ -24,13 +29,19 @@ const tarjanUndef = int32(-1)
 // stack (zone graphs routinely have paths far deeper than the goroutine
 // stack budget).
 //
-// compOf maps each node to its component id; comps lists the members of
-// every component. Components are emitted in reverse topological order:
-// every successor of a node lies in the same component or in one with a
-// strictly smaller id. Component ids therefore directly give the bottom-up
-// solving order for backward propagation.
-func tarjanSCC(n int, deg func(u int) int, succ func(u, i int) int) (compOf []int32, comps [][]int32) {
+// compOf maps each node to its component id. members lists the nodes
+// grouped by component, each component's in the order Tarjan pops them:
+// component c is members[start[c]:start[c+1]], and len(start) is the
+// number of components plus one. Components are emitted in reverse
+// topological order: every successor of a node lies in the same component
+// or in one with a strictly smaller id. Component ids therefore directly
+// give the bottom-up solving order for backward propagation. Every array
+// is allocated once, at its final size, so the cost in allocations does
+// not grow with the number of components.
+func tarjanSCC(n int, deg func(u int) int, succ func(u, i int) int) (compOf, members, start []int32) {
 	compOf = make([]int32, n)
+	members = make([]int32, 0, n)
+	start = make([]int32, 1, n+1)
 	index := make([]int32, n)
 	low := make([]int32, n)
 	onStack := make([]bool, n)
@@ -43,7 +54,7 @@ func tarjanSCC(n int, deg func(u int) int, succ func(u, i int) int) (compOf []in
 		u  int32
 		ei int32 // next successor index to visit
 	}
-	var frames []frame
+	frames := make([]frame, 0, n)
 	var next int32
 
 	for root := 0; root < n; root++ {
@@ -82,45 +93,62 @@ func tarjanSCC(n int, deg func(u int) int, succ func(u, i int) int) (compOf []in
 			if low[u] != index[u] {
 				continue
 			}
-			cid := int32(len(comps))
-			var comp []int32
+			cid := int32(len(start) - 1)
 			for {
 				v := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[v] = false
 				compOf[v] = cid
-				comp = append(comp, v)
+				members = append(members, v)
 				if int(v) == u {
 					break
 				}
 			}
-			comps = append(comps, comp)
+			start = append(start, int32(len(members)))
 		}
 	}
-	return compOf, comps
+	return compOf, members, start
 }
 
 // condensation is the SCC DAG of the explored zone graph plus the
-// cross-component adjacency the parallel propagator schedules with.
-// Component ids are tarjanSCC's, so they come in reverse topological
-// order; the propagator nonetheless schedules by dependency counting over
-// succs/preds, not by id order.
+// cross-component adjacency the parallel propagator schedules with, in
+// flat arrays: no slice is allocated per component. Component ids are
+// tarjanSCC's, so they come in reverse topological order; the propagator
+// nonetheless schedules by dependency counting over succs/preds, not by id
+// order.
 type condensation struct {
-	compOf []int32
-	comps  [][]int32
-	// succs/preds hold the distinct cross-component edges: succs[c] are the
-	// components c's nodes step into (c depends on them), preds[c] the
-	// components that step into c (they wait for c).
-	succs [][]int32
-	preds [][]int32
+	compOf  []int32
+	members []int32 // component c is members[start[c]:start[c+1]]
+	start   []int32
+	// The distinct cross-component edges, both directions in one arena:
+	// c's successors (the components c's nodes step into, which c depends
+	// on) are arena[off[c]:off[c+1]], its predecessors (the components that
+	// step into c and wait for it) are arena[off[nc]+pos[c]:off[nc]+pos[c+1]].
+	off, pos []int32
+	arena    []int32
 }
 
-// link fills c.succs and c.preds, the distinct cross-component edges,
-// carving every list out of one exactly counted arena. Each component
-// dedups its members' node successors with a last-seen marker; preds lists
-// come out in ascending source order.
+// numComps returns the number of components.
+func (c *condensation) numComps() int { return len(c.start) - 1 }
+
+// comp returns the members of component cid.
+func (c *condensation) comp(cid int) []int32 { return c.members[c.start[cid]:c.start[cid+1]] }
+
+// succs returns the components cid's nodes step into.
+func (c *condensation) succs(cid int) []int32 { return c.arena[c.off[cid]:c.off[cid+1]] }
+
+// preds returns the components that step into cid, in ascending order.
+func (c *condensation) preds(cid int) []int32 {
+	base := c.off[len(c.off)-1]
+	return c.arena[base+c.pos[cid] : base+c.pos[cid+1]]
+}
+
+// link fills off, pos and arena with the distinct cross-component edges,
+// exactly counted before the one arena is allocated. Each component dedups
+// its members' node successors with a last-seen marker; preds lists come
+// out in ascending source order.
 func (c *condensation) link(deg func(u int) int, succ func(u, i int) int) {
-	nc := len(c.comps)
+	nc := c.numComps()
 	seen := make([]int32, nc)
 	for i := range seen {
 		seen[i] = -1
@@ -129,7 +157,7 @@ func (c *condensation) link(deg func(u int) int, succ func(u, i int) int) {
 	// out is non-nil; mark must differ from every earlier scan's mark.
 	scan := func(cid int, mark int32, out []int32) int {
 		k := 0
-		for _, u := range c.comps[cid] {
+		for _, u := range c.comp(cid) {
 			du := deg(int(u))
 			for i := 0; i < du; i++ {
 				d := c.compOf[succ(int(u), i)]
@@ -147,40 +175,33 @@ func (c *condensation) link(deg func(u int) int, succ func(u, i int) int) {
 	}
 
 	// off[cid] is where cid's successor list starts; pos[d+1] counts d's
-	// predecessors and, after the prefix sum, pos[d] is where d's list starts.
-	off := make([]int32, nc+1)
-	pos := make([]int32, nc+1)
+	// predecessors and, after the prefix sum, pos[d] is where d's list
+	// starts within the arena's second half.
+	c.off = make([]int32, nc+1)
+	c.pos = make([]int32, nc+1)
 	for cid := 0; cid < nc; cid++ {
-		off[cid+1] = off[cid] + int32(scan(cid, int32(cid), nil))
+		c.off[cid+1] = c.off[cid] + int32(scan(cid, int32(cid), nil))
 	}
-	total := off[nc]
-	arena := make([]int32, 2*total)
-	c.succs = make([][]int32, nc)
+	total := c.off[nc]
+	c.arena = make([]int32, 2*total)
 	for cid := 0; cid < nc; cid++ {
-		lo, hi := off[cid], off[cid+1]
-		if lo == hi {
-			continue
-		}
-		out := arena[lo:hi:hi]
+		out := c.succs(cid)
 		scan(cid, int32(nc+cid), out)
-		c.succs[cid] = out
 		for _, d := range out {
-			pos[d+1]++
+			c.pos[d+1]++
 		}
 	}
 	for d := 0; d < nc; d++ {
-		pos[d+1] += pos[d]
+		c.pos[d+1] += c.pos[d]
 	}
-	c.preds = make([][]int32, nc)
-	preds := arena[total:]
-	for d := 0; d < nc; d++ {
-		if lo, hi := pos[d], pos[d+1]; lo < hi {
-			c.preds[d] = preds[lo:lo:hi]
-		}
-	}
-	for cid, ds := range c.succs {
-		for _, d := range ds {
-			c.preds[d] = append(c.preds[d], int32(cid))
+	// The scans are done, so seen becomes the fill cursor of every preds
+	// list; sources in ascending order fill them in ascending order.
+	copy(seen, c.pos[:nc])
+	preds := c.arena[total:]
+	for cid := 0; cid < nc; cid++ {
+		for _, d := range c.succs(cid) {
+			preds[seen[d]] = int32(cid)
+			seen[d]++
 		}
 	}
 }
@@ -194,8 +215,8 @@ func (s *solver) condense() *condensation {
 	defer func(t0 time.Time) { s.stats.CondenseDuration += time.Since(t0) }(time.Now())
 	deg := func(u int) int { return len(s.nodes[u].succs) }
 	succ := func(u, i int) int { return s.nodes[u].succs[i].target }
-	compOf, comps := tarjanSCC(len(s.nodes), deg, succ)
-	c := &condensation{compOf: compOf, comps: comps}
+	compOf, members, start := tarjanSCC(len(s.nodes), deg, succ)
+	c := &condensation{compOf: compOf, members: members, start: start}
 	c.link(deg, succ)
 	return c
 }

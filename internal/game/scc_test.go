@@ -6,11 +6,16 @@ import (
 	"testing"
 )
 
-func runTarjan(adj [][]int) (compOf []int32, comps [][]int32) {
-	return tarjanSCC(len(adj),
-		func(u int) int { return len(adj[u]) },
-		func(u, i int) int { return adj[u][i] },
-	)
+func adjFuncs(adj [][]int) (deg func(u int) int, succ func(u, i int) int) {
+	return func(u int) int { return len(adj[u]) }, func(u, i int) int { return adj[u][i] }
+}
+
+// runTarjan returns tarjanSCC's partition of adj as an unlinked
+// condensation.
+func runTarjan(adj [][]int) *condensation {
+	deg, succ := adjFuncs(adj)
+	compOf, members, start := tarjanSCC(len(adj), deg, succ)
+	return &condensation{compOf: compOf, members: members, start: start}
 }
 
 // TestTarjanSCCHandcrafted checks the condensation of a handcrafted cyclic
@@ -36,7 +41,8 @@ func TestTarjanSCCHandcrafted(t *testing.T) {
 		7: {7, 0},
 		8: {},
 	}
-	compOf, comps := runTarjan(adj)
+	c := runTarjan(adj)
+	compOf := c.compOf
 
 	same := func(a, b int) bool { return compOf[a] == compOf[b] }
 	if !same(0, 1) || !same(1, 2) {
@@ -48,8 +54,8 @@ func TestTarjanSCCHandcrafted(t *testing.T) {
 	if same(0, 3) || same(0, 6) || same(3, 6) || same(7, 0) || same(8, 0) {
 		t.Fatalf("distinct components merged: %v", compOf)
 	}
-	if len(comps) != 5 {
-		t.Fatalf("want 5 components, got %d: %v", len(comps), comps)
+	if c.numComps() != 5 {
+		t.Fatalf("want 5 components, got %d: %v", c.numComps(), c.start)
 	}
 	// Reverse topological order: every edge leads into the same or an
 	// earlier-emitted (smaller-id) component, so components can be solved
@@ -62,10 +68,10 @@ func TestTarjanSCCHandcrafted(t *testing.T) {
 			}
 		}
 	}
-	// comps must partition the nodes consistently with compOf.
+	// The members must partition the nodes consistently with compOf.
 	seen := make([]bool, len(adj))
-	for cid, comp := range comps {
-		for _, v := range comp {
+	for cid := 0; cid < c.numComps(); cid++ {
+		for _, v := range c.comp(cid) {
 			if seen[v] {
 				t.Fatalf("node %d appears in two components", v)
 			}
@@ -113,7 +119,8 @@ func TestTarjanSCCRandomOracle(t *testing.T) {
 				}
 			}
 		}
-		compOf, comps := runTarjan(adj)
+		c := runTarjan(adj)
+		compOf := c.compOf
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				want := reach[u][v] && reach[v][u]
@@ -132,8 +139,7 @@ func TestTarjanSCCRandomOracle(t *testing.T) {
 		}
 		// The production condensation (tarjanSCC + link, as condense builds
 		// it) must match the reference builder's cross-component DAG.
-		c := &condensation{compOf: compOf, comps: comps}
-		c.link(func(u int) int { return len(adj[u]) }, func(u, i int) int { return adj[u][i] })
+		c.link(adjFuncs(adj))
 		ctx := fmt.Sprintf("iter %d (n=%d)", iter, n)
 		checkCondConsistent(t, c, n, ctx)
 		checkCondEquiv(t, c, buildCondFrom(adj), n, ctx)
@@ -141,65 +147,98 @@ func TestTarjanSCCRandomOracle(t *testing.T) {
 }
 
 // TestTarjanSCCDeepPath guards the iterative implementation: a recursive
-// Tarjan would blow the stack on a path this long.
+// Tarjan would blow the stack on a path this long. Its 200 000 singleton
+// components must cost about as many allocations as a path of two nodes:
+// the flat layout allocates every array once, not once per component. The
+// slack of the bound only absorbs the odd allocation the runtime makes on
+// its own while megabyte-sized arrays are allocated.
 func TestTarjanSCCDeepPath(t *testing.T) {
 	const n = 200000
-	adj := make([][]int, n)
-	for u := 0; u < n-1; u++ {
-		adj[u] = []int{u + 1}
+	path := func(n int) [][]int {
+		adj := make([][]int, n)
+		for u := 0; u < n-1; u++ {
+			adj[u] = []int{u + 1}
+		}
+		return adj
 	}
-	compOf, comps := runTarjan(adj)
-	if len(comps) != n {
-		t.Fatalf("a path has %d singleton components, got %d", n, len(comps))
+	adj := path(n)
+	c := runTarjan(adj)
+	if c.numComps() != n {
+		t.Fatalf("a path has %d singleton components, got %d", n, c.numComps())
 	}
 	// The chain's tail is the sink and must be emitted first.
-	if compOf[n-1] != 0 || compOf[0] != int32(n-1) {
-		t.Fatalf("reverse topological numbering broken: compOf[last]=%d compOf[0]=%d", compOf[n-1], compOf[0])
+	if c.compOf[n-1] != 0 || c.compOf[0] != int32(n-1) {
+		t.Fatalf("reverse topological numbering broken: compOf[last]=%d compOf[0]=%d", c.compOf[n-1], c.compOf[0])
+	}
+
+	allocs := func(adj [][]int) float64 {
+		deg, succ := adjFuncs(adj)
+		return testing.AllocsPerRun(2, func() { tarjanSCC(len(adj), deg, succ) })
+	}
+	if deep, short := allocs(adj), allocs(path(2)); deep > 2*short {
+		t.Fatalf("condensing %d singleton components costs %.0f allocations, 2 cost %.0f", n, deep, short)
 	}
 }
 
 // buildCondFrom is the reference condensation of an adjacency-list graph:
 // tarjanSCC's partition with cross-component lists built by plain appends,
-// independent of link's counted arena.
+// independent of link's counted arena, then packed into the flat layout.
 func buildCondFrom(adj [][]int) *condensation {
-	compOf, comps := runTarjan(adj)
-	c := &condensation{
-		compOf: compOf,
-		comps:  comps,
-		succs:  make([][]int32, len(comps)),
-		preds:  make([][]int32, len(comps)),
-	}
-	seen := make([]int32, len(comps))
+	c := runTarjan(adj)
+	nc := c.numComps()
+	succs := make([][]int32, nc)
+	preds := make([][]int32, nc)
+	seen := make([]int32, nc)
 	for i := range seen {
 		seen[i] = -1
 	}
-	for cid := range comps {
-		for _, u := range comps[cid] {
+	for cid := 0; cid < nc; cid++ {
+		for _, u := range c.comp(cid) {
 			for _, v := range adj[u] {
-				d := compOf[v]
+				d := c.compOf[v]
 				if int(d) == cid || seen[d] == int32(cid) {
 					continue
 				}
 				seen[d] = int32(cid)
-				c.succs[cid] = append(c.succs[cid], d)
-				c.preds[d] = append(c.preds[d], int32(cid))
+				succs[cid] = append(succs[cid], d)
+				preds[d] = append(preds[d], int32(cid))
 			}
 		}
 	}
+	c.off = make([]int32, nc+1)
+	c.pos = make([]int32, nc+1)
+	var arena, predArena []int32
+	for cid := 0; cid < nc; cid++ {
+		arena = append(arena, succs[cid]...)
+		predArena = append(predArena, preds[cid]...)
+		c.off[cid+1] = int32(len(arena))
+		c.pos[cid+1] = int32(len(predArena))
+	}
+	c.arena = append(arena, predArena...)
 	return c
 }
 
 // checkCondConsistent verifies the structural invariants every consumer
-// (propagate.go's dependency counting) relies on: compOf/comps agree as a
-// partition, cross lists carry no self loops or duplicates, and preds is
-// the exact inverse of succs.
+// (propagate.go's dependency counting) relies on: the flat arrays have
+// their sizes, compOf and the members agree as a partition, cross lists
+// carry no self loops or duplicates, preds lists are ascending, and preds
+// is the exact inverse of succs.
 func checkCondConsistent(t *testing.T, c *condensation, n int, ctx string) {
 	t.Helper()
-	if len(c.compOf) != n {
-		t.Fatalf("%s: compOf has %d entries, want %d", ctx, len(c.compOf), n)
+	if len(c.compOf) != n || len(c.members) != n {
+		t.Fatalf("%s: compOf has %d entries and members %d, want %d", ctx, len(c.compOf), len(c.members), n)
+	}
+	nc := c.numComps()
+	if c.start[0] != 0 || c.start[nc] != int32(n) {
+		t.Fatalf("%s: start runs from %d to %d, want 0 to %d", ctx, c.start[0], c.start[nc], n)
+	}
+	if len(c.off) != nc+1 || len(c.pos) != nc+1 || c.off[0] != 0 || c.pos[0] != 0 ||
+		c.off[nc] != c.pos[nc] || len(c.arena) != int(2*c.off[nc]) {
+		t.Fatalf("%s: %d components, but off %v, pos %v and an arena of %d", ctx, nc, c.off, c.pos, len(c.arena))
 	}
 	seen := make([]bool, n)
-	for cid, members := range c.comps {
+	for cid := 0; cid < nc; cid++ {
+		members := c.comp(cid)
 		if len(members) == 0 {
 			t.Fatalf("%s: component %d is empty", ctx, cid)
 		}
@@ -220,9 +259,9 @@ func checkCondConsistent(t *testing.T, c *condensation, n int, ctx string) {
 	}
 	type edge struct{ c, d int32 }
 	fwd := map[edge]bool{}
-	for cid, ds := range c.succs {
+	for cid := 0; cid < nc; cid++ {
 		dup := map[int32]bool{}
-		for _, d := range ds {
+		for _, d := range c.succs(cid) {
 			if d == int32(cid) {
 				t.Fatalf("%s: comp %d has a self cross-edge", ctx, cid)
 			}
@@ -234,11 +273,15 @@ func checkCondConsistent(t *testing.T, c *condensation, n int, ctx string) {
 		}
 	}
 	inv := map[edge]bool{}
-	for cid, ps := range c.preds {
+	for cid := 0; cid < nc; cid++ {
 		dup := map[int32]bool{}
-		for _, p := range ps {
+		ps := c.preds(cid)
+		for i, p := range ps {
 			if dup[p] {
 				t.Fatalf("%s: comp %d lists pred %d twice", ctx, cid, p)
+			}
+			if i > 0 && p < ps[i-1] {
+				t.Fatalf("%s: comp %d lists its preds out of order: %v", ctx, cid, ps)
 			}
 			dup[p] = true
 			inv[edge{p, int32(cid)}] = true
@@ -257,8 +300,9 @@ func checkCondConsistent(t *testing.T, c *condensation, n int, ctx string) {
 // condRep maps every node to the smallest node id of its component — a
 // numbering-independent canonical form of the partition.
 func condRep(c *condensation, n int) []int32 {
-	rep := make([]int32, len(c.comps))
-	for cid, members := range c.comps {
+	rep := make([]int32, c.numComps())
+	for cid := range rep {
+		members := c.comp(cid)
 		min := members[0]
 		for _, v := range members[1:] {
 			if v < min {
@@ -288,10 +332,10 @@ func checkCondEquiv(t *testing.T, got, want *condensation, n int, ctx string) {
 	type edge struct{ c, d int32 }
 	canon := func(c *condensation, rep []int32) map[edge]bool {
 		out := map[edge]bool{}
-		for cid, ds := range c.succs {
-			src := rep[c.comps[cid][0]]
-			for _, d := range ds {
-				out[edge{src, rep[c.comps[d][0]]}] = true
+		for cid := 0; cid < c.numComps(); cid++ {
+			src := rep[c.comp(cid)[0]]
+			for _, d := range c.succs(cid) {
+				out[edge{src, rep[c.comp(int(d))[0]]}] = true
 			}
 		}
 		return out

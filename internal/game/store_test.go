@@ -62,6 +62,34 @@ func TestSolveLiveBytesPerNode(t *testing.T) {
 	runtime.KeepAlive(res)
 }
 
+// TestSolveAllocsPerNode bounds the heap allocations of one Table 1 solve
+// (LEP n=5 TP2, the benchmark's options) per node. A condensation costs a
+// fixed number of allocations per pass, not one per component; successors
+// are built in worker scratch, so a duplicate allocates nothing but its
+// pooled zone; a created node and its state are one object. Rebuilding
+// per-component slices every pass and allocating every successor's
+// vectors and state cost about 18.5 allocations per node.
+func TestSolveAllocsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop zones at random")
+	}
+	const bound = 12.0
+	sys := models.LEP(models.LEPOptions{Nodes: 5})
+	f := tctl.MustParse(models.LEPEnv(sys, 5), models.LEPTP2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Solve(sys, f, Options{EarlyTermination: true, Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := float64(after.Mallocs-before.Mallocs) / float64(res.Stats.Nodes)
+	t.Logf("%d nodes, %d allocations, %.2f per node", res.Stats.Nodes, after.Mallocs-before.Mallocs, perNode)
+	if perNode > bound {
+		t.Errorf("%.2f allocations per node, bound %.1f", perNode, bound)
+	}
+}
+
 // TestBatchSolveInternsNothing checks that a purpose solve on a cached
 // skeleton allocates none of its node store's shard maps: it runs on the
 // skeleton's nodes and never interns a state.

@@ -122,14 +122,15 @@ func TestDisabledCandidatesAllocateNothing(t *testing.T) {
 	ncand := 0
 	ex.Candidates(init, func(*Transition) error { ncand++; return nil })
 	buf := make([]Succ, 0, 4)
-	if succs, err := ex.AppendSuccessors(buf, init); err != nil || len(succs) != 0 || ncand != 3 {
+	var sc Scratch
+	if succs, err := ex.AppendSuccessors(buf, init, &sc); err != nil || len(succs) != 0 || ncand != 3 {
 		t.Fatalf("want 3 candidates, both disabled: %d candidates, %d successors, err %v", ncand, len(succs), err)
 	}
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop contexts at random")
+		t.Skip("the race detector makes sync.Pool drop zones at random")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := ex.AppendSuccessors(buf[:0], init); err != nil {
+		if _, err := ex.AppendSuccessors(buf[:0], init, &sc); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -177,9 +178,10 @@ func TestConcurrentFirstCandidates(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var buf []Succ
+			var sc Scratch
 			for _, st := range states {
 				var err error
-				if buf, err = ex.AppendSuccessors(buf[:0], st); err != nil {
+				if buf, err = ex.AppendSuccessors(buf[:0], st, &sc); err != nil {
 					t.Error(err)
 					return
 				}

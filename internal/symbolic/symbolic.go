@@ -16,11 +16,18 @@
 // and a target, and two transitions of one explorer are the same
 // transition exactly when their pointers are equal.
 //
+// Successors are built in a caller-owned Scratch: AppendSuccessors writes
+// every successor's location and variable vectors and its State there and
+// overwrites them on the next call with the same Scratch, so a caller that
+// keeps a successor copies what it keeps. Only the zone is fresh and owned
+// by the caller. Fire and Successors use a fresh Scratch per call, so
+// their results are the caller's for good.
+//
 // Concurrency contract: an Explorer is safe for concurrent use by any
 // number of solver workers (the transition table is built once, under a
 // sync.Once); interned States and Transitions are read-only.
-// AppendSuccessors writes only into the caller's buffer, so per-worker
-// buffers make exploration embarrassingly parallel.
+// AppendSuccessors writes only into the caller's buffer and Scratch, so
+// per-worker buffers make exploration embarrassingly parallel.
 package symbolic
 
 import (
@@ -265,26 +272,28 @@ func (ex *Explorer) applyInvariantInPlace(z *dbm.DBM, locs []int) bool {
 	return true
 }
 
-// Successors enumerates all discrete successors of s.
+// Successors enumerates all discrete successors of s. The result is the
+// caller's: it is built in a Scratch of its own.
 func (ex *Explorer) Successors(s *State) ([]Succ, error) {
-	return ex.AppendSuccessors(nil, s)
+	return ex.AppendSuccessors(nil, s, new(Scratch))
 }
 
 // AppendSuccessors appends all discrete successors of s to dst and returns
 // the extended slice, so callers exploring many states can reuse one
-// buffer instead of allocating per state.
-func (ex *Explorer) AppendSuccessors(dst []Succ, s *State) ([]Succ, error) {
+// buffer instead of allocating per state. The successors' States and their
+// location and variable vectors live in sc and stay valid until sc is
+// passed to AppendSuccessors again; their zones are fresh and the caller's.
+func (ex *Explorer) AppendSuccessors(dst []Succ, s *State, sc *Scratch) ([]Succ, error) {
+	sc.states, sc.locs, sc.vars = sc.states[:0], sc.locs[:0], sc.vars[:0]
 	out := dst
-	ctx := fireCtxs.Get().(*fireCtx) // one context pair serves every candidate
 	err := ex.Candidates(s, func(t *Transition) error {
-		succ, ok, err := ex.fire(s, t, ctx)
+		succ, ok, err := ex.fire(s, t, sc)
 		if ok {
 			out = append(out, succ)
 		}
 		return err
 	})
-	*ctx = fireCtx{}
-	fireCtxs.Put(ctx)
+	sc.guard, sc.update = expr.Ctx{}, expr.Ctx{} // pin no caller state
 	if err != nil {
 		return nil, err
 	}
@@ -352,34 +361,42 @@ func (ex *Explorer) Candidates(s *State, fn func(t *Transition) error) error {
 }
 
 // Fire attempts candidate t from s; a nil Succ means the transition is
-// disabled. The successor carries t itself.
+// disabled. The successor carries t itself and is the caller's.
 func (ex *Explorer) Fire(s *State, t *Transition) (*Succ, error) {
-	succ, ok, err := ex.fire(s, t, &fireCtx{})
+	succ, ok, err := ex.fire(s, t, new(Scratch))
 	if !ok {
 		return nil, err
 	}
 	return &succ, nil
 }
 
-// fireCtx holds the evaluation contexts of fire: guards read the source
-// environment, updates write the successor's. Reusing one pair across the
-// candidates of a state keeps disabled candidates allocation-free.
-type fireCtx struct{ guard, update expr.Ctx }
-
-// fireCtxs recycles the contexts of AppendSuccessors. Expressions evaluate
-// through an interface, so a context always escapes to the heap; without
-// the pool every explored state would allocate one.
-var fireCtxs = sync.Pool{New: func() any { return new(fireCtx) }}
+// Scratch is the caller-owned memory fire builds successors in: their
+// States and location and variable vectors, carved from three buffers that
+// AppendSuccessors empties on entry, plus the two evaluation contexts
+// (guards read the source environment, updates write the successor's).
+// Expressions evaluate through an interface, so a context always escapes
+// to the heap; keeping both in the Scratch makes a state whose candidates
+// are all disabled cost no allocation. A buffer that grows moves on to a
+// new array and leaves the successors already built in the old one, so
+// every successor of one call stays valid. The zero value is ready to use;
+// a Scratch is not safe for concurrent use.
+type Scratch struct {
+	states        []State
+	locs          []int
+	vars          []int32
+	guard, update expr.Ctx
+}
 
 // fire attempts to take the transition from s; ok is false when it is
-// disabled (or on error).
-func (ex *Explorer) fire(s *State, t *Transition, ctx *fireCtx) (Succ, bool, error) {
+// disabled (or on error). An enabled successor's State, Locs and Vars are
+// appended to sc; a disabled one leaves sc's buffers as they were.
+func (ex *Explorer) fire(s *State, t *Transition, sc *Scratch) (Succ, bool, error) {
 	sys := ex.Sys
 
 	// Data guards (conjunction over participating edges).
-	ctx.guard = expr.Ctx{Tbl: sys.Vars, Env: s.Vars}
+	sc.guard = expr.Ctx{Tbl: sys.Vars, Env: s.Vars}
 	for _, e := range t.Edges {
-		ok, err := expr.Truth(&ctx.guard, e.Guard.Data)
+		ok, err := expr.Truth(&sc.guard, e.Guard.Data)
 		if err != nil {
 			return Succ{}, false, fmt.Errorf("symbolic: guard of %s: %w", sys.EdgeLabel(e), err)
 		}
@@ -401,17 +418,25 @@ func (ex *Explorer) fire(s *State, t *Transition, ctx *fireCtx) (Succ, bool, err
 	}
 
 	// Discrete update: locations, then assignments (emitter before receiver,
-	// matching UPPAAL's order).
-	locs := append([]int(nil), s.Locs...)
+	// matching UPPAAL's order), written to the end of sc's buffers; a
+	// disabled successor truncates them back.
+	nl, nv := len(sc.locs), len(sc.vars)
+	fail := func(err error) (Succ, bool, error) {
+		z.Release()
+		sc.locs, sc.vars = sc.locs[:nl], sc.vars[:nv]
+		return Succ{}, false, err
+	}
+	sc.locs = append(sc.locs, s.Locs...)
+	locs := sc.locs[nl:len(sc.locs):len(sc.locs)]
 	for _, e := range t.Edges {
 		locs[e.Proc] = e.Dst
 	}
-	vars := append([]int32(nil), s.Vars...)
-	ctx.update = expr.Ctx{Tbl: sys.Vars, Env: vars}
+	sc.vars = append(sc.vars, s.Vars...)
+	vars := sc.vars[nv:len(sc.vars):len(sc.vars)]
+	sc.update = expr.Ctx{Tbl: sys.Vars, Env: vars}
 	for _, e := range t.Edges {
-		if err := expr.ApplyAll(&ctx.update, e.Assigns); err != nil {
-			z.Release()
-			return Succ{}, false, fmt.Errorf("symbolic: update of %s: %w", sys.EdgeLabel(e), err)
+		if err := expr.ApplyAll(&sc.update, e.Assigns); err != nil {
+			return fail(fmt.Errorf("symbolic: update of %s: %w", sys.EdgeLabel(e), err))
 		}
 	}
 
@@ -424,20 +449,19 @@ func (ex *Explorer) fire(s *State, t *Transition, ctx *fireCtx) (Succ, bool, err
 
 	// Target invariant, then delay closure.
 	if !ex.applyInvariantInPlace(z, locs) {
-		z.Release()
-		return Succ{}, false, nil
+		return fail(nil)
 	}
 	if !ex.Sys.IsUrgent(locs) {
 		z.UpInPlace()
 		if !ex.applyInvariantInPlace(z, locs) {
-			z.Release()
-			return Succ{}, false, nil
+			return fail(nil)
 		}
 	}
 	if ex.Max != nil {
 		z.ExtrapolateInPlace(ex.Max)
 	}
-	return Succ{Trans: t, State: &State{Locs: locs, Vars: vars, Zone: z}}, true, nil
+	sc.states = append(sc.states, State{Locs: locs, Vars: vars, Zone: z})
+	return Succ{Trans: t, State: &sc.states[len(sc.states)-1]}, true, nil
 }
 
 // PredThroughEdge computes the discrete predecessor through transition t

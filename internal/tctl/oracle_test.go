@@ -145,7 +145,8 @@ func explore(t testing.TB, sys *model.System, fs []*tctl.Formula, limit int) []*
 	index := map[uint64][]*symbolic.State{init.HashKey(): {init}}
 	var buf []symbolic.Succ
 	for i := 0; i < len(states); i++ {
-		if buf, err = ex.AppendSuccessors(buf[:0], states[i]); err != nil {
+		// The kept successors must outlive the call: a fresh Scratch each.
+		if buf, err = ex.AppendSuccessors(buf[:0], states[i], new(symbolic.Scratch)); err != nil {
 			t.Fatal(err)
 		}
 	next:
